@@ -3,7 +3,8 @@
 Each benchmark regenerates one of the paper's tables/figures through
 :mod:`repro.bench.experiments`, records the wall-clock via pytest-benchmark
 (one round — these are experiments, not micro-kernels), prints the
-formatted table, and persists JSON + text artifacts under ``results/``.
+formatted table, and persists JSON + text artifacts under
+``$REPRO_RESULTS_DIR`` (a session temp dir unless set).
 
 Scale comes from the ``REPRO_PROFILE`` environment variable (default:
 ``small`` here so a full ``pytest benchmarks/`` run finishes in minutes;
@@ -12,12 +13,24 @@ use ``REPRO_PROFILE=bench`` or ``paper`` for larger runs).
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
+import tempfile
 
-import pytest
+# Benches under test write their artifacts (results/*.json, BENCH_*.json
+# next to the results dir) to a session temp dir, never the tracked
+# copies.  repro.bench.reporting reads REPRO_RESULTS_DIR at import, so
+# this runs before any repro.bench import; set it yourself to keep them.
+if "REPRO_RESULTS_DIR" not in os.environ:
+    _artifacts = tempfile.mkdtemp(prefix="repro-test-artifacts-")
+    atexit.register(shutil.rmtree, _artifacts, ignore_errors=True)
+    os.environ["REPRO_RESULTS_DIR"] = os.path.join(_artifacts, "results")
 
-from repro.bench import PROFILES, format_table, save_json
-from repro.bench.reporting import RESULTS_DIR
+import pytest  # noqa: E402
+
+from repro.bench import PROFILES, format_table, save_json  # noqa: E402
+from repro.bench.reporting import RESULTS_DIR  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -288,7 +288,7 @@ def run_plan_quality(profile: Profile | None = None,
                 if ues.cardinality(query, subset) + 1e-6 < truth:
                     ues_holds = False
 
-        service_failures = space.server.service.failures
+        service_failures = space.server.service.stats()["failures"]
 
     arr = {name: np.asarray(vals) for name, vals in costs.items()}
     oracle_costs = arr[oracle.name]

@@ -72,22 +72,23 @@ def _zipf_stream(queries: list, n_total: int,
     return [stream[i] for i in perm]
 
 
-def _serve_stream(server: UAEServer, stream: list) -> tuple[float, list]:
+def _serve_stream(server: UAEServer,
+                  stream: list) -> tuple[float, list, list]:
     """Closed-loop drive through the micro-batching worker; returns
-    (elapsed_seconds, results in stream order)."""
-    results = []
+    (elapsed_seconds, results in stream order, their submit-to-settle
+    latencies read off the request handles)."""
+    results, latencies = [], []
     start = time.perf_counter()
     for lo in range(0, len(stream), _WAVE):
         requests = [server.submit(q) for q in stream[lo:lo + _WAVE]]
         results.extend(r.result(timeout=120.0) for r in requests)
-    return time.perf_counter() - start, results
+        latencies.extend(r.latency() for r in requests)
+    return time.perf_counter() - start, results, latencies
 
 
-def _phase_latency(server: UAEServer, n_requests: int) -> dict[str, float]:
-    """Quantiles over the last ``n_requests`` served (the phase just run;
-    robust to the bounded latency deque having rotated)."""
-    arr = np.fromiter(server.service.latencies.copy(), dtype=np.float64)
-    arr = arr[-min(len(arr), n_requests):]
+def _phase_latency(latencies: list) -> dict[str, float]:
+    """Latency quantiles over one phase's requests."""
+    arr = np.asarray(latencies, dtype=np.float64)
     if arr.size == 0:
         return {"p50_ms": 0.0, "p99_ms": 0.0}
     return {"p50_ms": float(np.percentile(arr, 50) * 1e3),
@@ -233,7 +234,8 @@ def run_multi_table(profile: Profile | None = None,
         checks["swapped_namespace_v1_reproducible"] = bool(
             np.array_equal(old, refs_pre[swap_ns]))
         checks["zero_failures"] = all(
-            space.server.service.failures == 0 for space in front.registry)
+            space.server.service.stats()["failures"] == 0
+            for space in front.registry)
 
         pool_stats = front.pool.stats()
         stats = front.stats()
@@ -569,7 +571,7 @@ def run_chaos(profile: Profile | None = None,
             err = server_a.observe(q0, float(wl.cardinalities[0]),
                                    estimate=float(ests[0]))
             checks["feedback_corruption_contained"] = \
-                err >= 10.0 and server_a.service.failures == 0
+                err >= 10.0 and server_a.service.stats()["failures"] == 0
             stats_a = server_a.modelops.stats()
         rows.append({"fault": "poison-refinement", "action": "reject",
                      "observations": len(wl), "version": 1})
@@ -649,8 +651,8 @@ def run_chaos(profile: Profile | None = None,
                 and req.from_cache \
                 and req.version == server_b.registry.version
             checks["zero_untyped_singleproc"] = \
-                server_a.service.failures == 0 \
-                and server_b.service.failures == 0
+                server_a.service.stats()["failures"] == 0 \
+                and server_b.service.stats()["failures"] == 0
             detail["tripwire"] = server_b.modelops.stats()
         rows.append({"fault": "drop-publish", "action": "retry+warm",
                      "observations": server_b.modelops.warmed,
@@ -876,7 +878,7 @@ def run_serving(profile: Profile | None = None,
         # ----------------------------------------------------------
         # Phase 1: steady traffic through the micro-batching worker.
         server.estimate_batch(steady.queries[:8])  # warm engine + caches
-        elapsed, results = _serve_stream(server, stream)
+        elapsed, results, latencies = _serve_stream(server, stream)
         serving_qps = len(stream) / elapsed
         steady_truths = np.array([truth_of[q] for q in stream])
         steady_err = summarize(np.array(results), steady_truths)
@@ -884,7 +886,7 @@ def run_serving(profile: Profile | None = None,
             server.feedback.record(q, est, tru)
         rows.append({"phase": "steady", "queries": len(stream),
                      "qps": serving_qps,
-                     **_phase_latency(server, len(stream)),
+                     **_phase_latency(latencies),
                      "qerr_mean": steady_err.mean,
                      "qerr_p95": steady_err.p95,
                      "version": server.registry.version})
@@ -912,7 +914,8 @@ def run_serving(profile: Profile | None = None,
         # refinement; stale feedback labels are dropped), and the
         # workload shifts onto the new region.
         server.stage_data(new_rows)
-        shifted_elapsed, shift_est = _serve_stream(server, shift_fb.queries)
+        shifted_elapsed, shift_est, latencies = _serve_stream(
+            server, shift_fb.queries)
         for q, est, tru in zip(shift_fb.queries, shift_est,
                                shift_fb.cardinalities):
             server.feedback.record(q, est, tru)
@@ -924,7 +927,7 @@ def run_serving(profile: Profile | None = None,
         checks["drift_triggered"] = server.feedback.should_refine()
         rows.append({"phase": "shifted", "queries": len(shift_fb),
                      "qps": len(shift_fb) / shifted_elapsed,
-                     **_phase_latency(server, len(shift_fb)),
+                     **_phase_latency(latencies),
                      "qerr_mean": before.mean, "qerr_p95": before.p95,
                      "version": server.registry.version})
 
@@ -933,7 +936,7 @@ def run_serving(profile: Profile | None = None,
         # The swap stream uses *fresh* queries (nothing cached), so both
         # the outgoing and the incoming snapshot serve real engine work.
         swap_wl = generate_inworkload(full, min(64, n_stream), rng)
-        failures_before = server.service.failures
+        failures_before = server.service.stats()["failures"]
         refine_thread = server.refine(background=True)
         swap_served = 0
         swap_versions: set[int] = set()
@@ -957,7 +960,7 @@ def run_serving(profile: Profile | None = None,
             swap_versions.add(req.version)
             swap_served += 1
         checks["swap_zero_failed"] = \
-            server.service.failures == failures_before
+            server.service.stats()["failures"] == failures_before
         checks["swap_spans_versions"] = len(swap_versions) >= 2 \
             and server.registry.version in swap_versions
         # No qps/latency/q-error cells: the swap stream is paced load,
@@ -979,7 +982,8 @@ def run_serving(profile: Profile | None = None,
         checks["weights_actually_swapped"] = not np.array_equal(svc_pre,
                                                                 svc_post)
 
-        post_elapsed, after_est = _serve_stream(server, shift_fb.queries)
+        post_elapsed, after_est, latencies = _serve_stream(
+            server, shift_fb.queries)
         after = summarize(np.array(after_est), shift_fb.cardinalities)
         heldout_after = summarize(
             server.estimate_batch(shift_test.queries, seed=_SEED + 1),
@@ -987,13 +991,13 @@ def run_serving(profile: Profile | None = None,
         rows.append({"phase": "post-swap shifted",
                      "queries": len(shift_fb),
                      "qps": len(shift_fb) / post_elapsed,
-                     **_phase_latency(server, len(shift_fb)),
+                     **_phase_latency(latencies),
                      "qerr_mean": after.mean, "qerr_p95": after.p95,
                      "version": server.registry.version})
 
         improvement = before.mean / max(after.mean, 1e-9)
         checks["qerror_improves"] = after.mean <= before.mean
-        checks["zero_failures"] = server.service.failures == 0
+        checks["zero_failures"] = server.service.stats()["failures"] == 0
         p99 = rows[0]["p99_ms"]
         checks["latency_sane"] = p99 < 2000.0
         qps_floor = 0.9 if profile.name == "ci" else 1.0
@@ -1103,7 +1107,8 @@ def run_serving(profile: Profile | None = None,
             f"{server.feedback.threshold:.2f}; shifted q-error mean "
             f"{before.mean:.2f} -> {after.mean:.2f}; serving "
             f"{serving_qps:.0f} q/s vs engine {engine_qps:.0f} q/s; "
-            f"p99 {p99:.1f} ms; failures {server.service.failures}]; see "
+            f"p99 {p99:.1f} ms; failures "
+            f"{server.service.stats()['failures']}]; see "
             f"{BENCH_SERVE_PATH if write_artifact else 'payload'}")
 
     return {"title": "Online serving: micro-batched estimates, hot-swap, "

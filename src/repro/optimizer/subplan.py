@@ -12,13 +12,14 @@ seeded** ``estimate_batch`` call, so every sub-plan answer is
 bit-reproducible against the single-process engine reference
 (``estimate_on`` with the same snapshot, fragment order, and seed).
 
-Answers are cached per (namespace version, fragment signature) and the
+Answers are cached per (namespace version, plan signature) and the
 cache invalidates the way the serving tier's ``ResultCache`` does: a
 newer published version clears it, so a hot-swap is immediately visible
 to the planner.  Because a seeded batch's Monte-Carlo stream is shared
-across the batch, fragment values are only reused for a query whose
-*whole* fragment list was prefetched — reusing another query's partial
-answers would silently break the bit-identity contract.
+across the batch, a plan's card function answers only from that plan's
+own batch — another plan sharing a fragment got a different value for
+it from its own stream, and reusing it would silently break the
+bit-identity contract.
 
 :class:`UESPessimisticProvider` is the pessimistic baseline: an
 UES-style upper bound (Hertzschuch et al., CIDR 2021) propagating
@@ -62,8 +63,8 @@ class ServingCardinalityProvider:
         self.namespace = namespace
         self._lock = threading.Lock()
         self._versions: dict[str, int] = {}
-        self._cache: dict[tuple, float] = {}
-        self._prefetched: dict[tuple, np.ndarray] = {}
+        # plan key -> (fragment values in plan order, {subset: value})
+        self._prefetched: dict[tuple, tuple[np.ndarray, dict]] = {}
         self.batched_calls = 0
         self.fragments_estimated = 0
         self.fallback_calls = 0
@@ -124,23 +125,26 @@ class ServingCardinalityProvider:
             self._versions[name] = version
             if stored is not None:
                 self.invalidations += 1
-            self._cache = {key: value for key, value in self._cache.items()
-                           if key[0] != name}
             self._prefetched = {key: value
                                 for key, value in self._prefetched.items()
                                 if key[0] != name}
 
-    def prefetch(self, query: JoinQuery) -> np.ndarray:
-        """All connected fragment cardinalities of ``query``, via at most
-        one batched seeded round trip (cached per model version)."""
-        fragments = self.plan_fragments(query)
-        name, version = self._target(query)
+    def _plan(self, query: JoinQuery, name: str,
+              version: int) -> tuple[np.ndarray, dict] | None:
         plan_key = (name, fragment_signature(query))
         with self._lock:
             self._sync_locked(name, version)
-            cached = self._prefetched.get(plan_key)
-            if cached is not None:
-                return cached.copy()
+            return self._prefetched.get(plan_key)
+
+    def prefetch(self, query: JoinQuery) -> np.ndarray:
+        """All connected fragment cardinalities of ``query``, via at most
+        one batched seeded round trip (cached per model version)."""
+        name, version = self._target(query)
+        cached = self._plan(query, name, version)
+        if cached is not None:
+            return cached[0].copy()
+        subsets = self.graph.connected_subsets(query.tables)
+        fragments = [extract_fragment(query, subset) for subset in subsets]
         values = np.asarray(self._estimate(fragments, self.seed_for(query)),
                             dtype=np.float64)
         self.batched_calls += 1
@@ -148,32 +152,29 @@ class ServingCardinalityProvider:
         with self._lock:
             self._sync_locked(name, version)
             if self._versions.get(name) == version:
-                for fragment, value in zip(fragments, values):
-                    key = (name, fragment_signature(fragment))
-                    self._cache[key] = float(value)
-                self._prefetched[plan_key] = values.copy()
+                self._prefetched[(name, fragment_signature(query))] = (
+                    values.copy(), dict(zip(subsets, values.tolist())))
         return values
 
     def lookup(self, query: JoinQuery, subset: frozenset) -> float:
-        """The served cardinality of one fragment (raw, unfloored)."""
-        fragment = extract_fragment(query, subset)
+        """The served cardinality of one fragment (raw, unfloored), from
+        ``query``'s own prefetched batch."""
+        subset = frozenset(subset)
         name, version = self._target(query)
-        key = (name, fragment_signature(fragment))
-        with self._lock:
-            self._sync_locked(name, version)
-            value = self._cache.get(key)
-        if value is None:
-            # A hot-swap invalidated the plan's answers (or the subset
-            # was never prefetched): re-batch the whole plan, then fall
-            # back to a single-fragment seeded call only if the subset
-            # is genuinely outside the plan's connected fragments.
+        plan = self._plan(query, name, version)
+        if plan is None:
+            # A hot-swap invalidated the plan's answers (or it was never
+            # prefetched): re-batch the whole plan.
             self.prefetch(query)
-            with self._lock:
-                value = self._cache.get(key)
-            if value is None:
-                self.fallback_calls += 1
-                value = float(self._estimate([fragment],
-                                             self.seed_for(query))[0])
+            plan = self._plan(query, name, version)
+        value = None if plan is None else plan[1].get(subset)
+        if value is None:
+            # The subset is outside the plan's connected fragments (or a
+            # swap raced the re-batch): one single-fragment seeded call.
+            fragment = extract_fragment(query, subset)
+            self.fallback_calls += 1
+            value = float(self._estimate([fragment],
+                                         self.seed_for(query))[0])
         return value
 
     # ------------------------------------------------------------------

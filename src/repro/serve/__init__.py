@@ -57,7 +57,7 @@ writes ``BENCH_serve.json``.
 
 from ..chaos import ChaosPlan, Fault
 from .cache import ResultCache
-from .cluster import ClusterEstimateService, ClusterRequest, LoadShedError
+from .cluster import ClusterEstimateService, LoadShedError
 from .feedback import FeedbackCollector
 from .modelops import (ModelOps, ModelOpsConfig, QErrorTripwire,
                        ShadowValidator)
@@ -80,7 +80,7 @@ __all__ = ["ModelRegistry", "ModelVersion", "EstimateService",
            "RoutedEstimateService", "RefinementPool", "RefinementJob",
            "RoutingError", "UnknownNamespaceError",
            "AmbiguousNamespaceError", "ClusterEstimateService",
-           "ClusterRequest", "LoadShedError", "HashRing",
+           "LoadShedError", "HashRing",
            "WorkerUnavailableError", "SharedSnapshot", "SnapshotCodec",
            "SnapshotTornError", "HAVE_SHARED_MEMORY",
            "RequestCancelledError", "AsyncEstimateService",

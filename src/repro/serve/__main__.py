@@ -68,28 +68,6 @@ CHAOS_FAULTS = {
 # ----------------------------------------------------------------------
 # HTTP front door (--http / --smoke)
 # ----------------------------------------------------------------------
-def _sql_literal(value) -> str:
-    if hasattr(value, "item"):              # numpy scalar -> python
-        value = value.item()
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return repr(value)
-
-
-def _render_sql(query) -> str:
-    """Render a Query back to the WHERE-fragment grammar the parser
-    accepts, so the smoke test exercises real SQL over the wire."""
-    parts = []
-    for pred in query.predicates:
-        if pred.op == "IN":
-            vals = ", ".join(_sql_literal(v) for v in pred.value)
-            parts.append(f"{pred.column} IN ({vals})")
-        else:
-            parts.append(f"{pred.column} {pred.op} "
-                         f"{_sql_literal(pred.value)}")
-    return " AND ".join(parts)
-
-
 def _build_http_front(profile):
     """Train the profile's DMV model and wrap it in a UAEServer."""
     import numpy as np
@@ -109,7 +87,9 @@ def _build_http_front(profile):
     uae.fit(epochs=max(1, profile.epochs // 3), mode="data")
     workload = generate_inworkload(table, 32, np.random.default_rng(5))
     server = UAEServer(uae, max_batch=32, max_wait_ms=2.0, seed=7)
-    return server, [_render_sql(q) for q in workload.queries]
+    # str(query) is the WHERE-fragment grammar parse_query reads back,
+    # so the smoke sends real SQL over the wire.
+    return server, [str(q) for q in workload.queries]
 
 
 def _http_smoke(door, sqls: list[str]) -> list[str]:

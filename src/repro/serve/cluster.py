@@ -22,7 +22,7 @@ one process to N:
   invalidates and recompiles its engine exactly as in-process training
   would.
 * **Load-shedding balancer** — :class:`ClusterEstimateService` routes by
-  :func:`~repro.workload.predicate.routing_signature`, applies
+  the router's :func:`~repro.serve.router.resolve_namespace`, applies
   backpressure through bounded per-worker in-flight windows, and when a
   worker saturates sheds *deadline-first*: a request whose remaining
   budget cannot cover the queue wait plus the worker's observed batch
@@ -55,13 +55,13 @@ import signal
 import threading
 import time
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
-from ..workload.predicate import routing_signature
 from .placement import HashRing, WorkerUnavailableError
-from .router import AmbiguousNamespaceError, UnknownNamespaceError
-from .service import RequestCancelledError
+from .router import Route, UnknownNamespaceError, resolve_namespace
+from .service import EstimateRequest
 from .snapshot import HAVE_SHARED_MEMORY, SharedSnapshot
 
 
@@ -248,104 +248,22 @@ def _worker_main(worker_id: str, request_q, response_q,
 
 
 # ----------------------------------------------------------------------
-# Futures + handles
+# Dispatch bookkeeping + handles
 # ----------------------------------------------------------------------
-class ClusterRequest:
-    """A single in-flight cluster call; future-like, mirrors
-    :class:`~repro.serve.service.EstimateRequest` (first-wins
-    settlement, done callbacks, best-effort cancellation)."""
+class _Dispatch(NamedTuple):
+    """Parent-side record of one message awaiting its worker's reply;
+    the caller holds ``request`` (an
+    :class:`~repro.serve.service.EstimateRequest`)."""
 
-    __slots__ = ("namespace", "count", "deadline", "single", "trace",
-                 "dispatched_at", "submitted_at", "completed_at",
-                 "version", "worker", "shed", "cancelled", "_lock",
-                 "_callbacks", "_event", "_value", "_error")
+    request: EstimateRequest
+    handle: "_WorkerHandle"
+    namespace: str | None                  # None for control messages
+    count: int                             # queries in the batch
+    dispatched_at: float | None            # when the batch was sent
 
-    def __init__(self, namespace: str, count: int,
-                 deadline: float | None, single: bool = False,
-                 trace=None):
-        self.namespace = namespace
-        self.count = count
-        self.deadline = deadline           # absolute perf_counter time
-        self.single = single
-        self.trace = trace                 # optional obs.Trace
-        self.dispatched_at: float | None = None
-        self.submitted_at = time.perf_counter()
-        self.completed_at: float | None = None
-        self.version: int | None = None
-        self.worker: str | None = None
-        self.shed = False
-        self.cancelled = False
-        self._lock = threading.Lock()
-        self._callbacks: list = []
-        self._event = threading.Event()
-        self._value = None
-        self._error: BaseException | None = None
-
-    def _settle(self, value, error, version, worker, shed) -> bool:
-        with self._lock:
-            if self._event.is_set():
-                return False
-            self._value = value
-            self._error = error
-            self.version = version
-            self.worker = worker
-            self.shed = shed
-            self.completed_at = time.perf_counter()
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-        return True
-
-    def _complete(self, value, version: int | None,
-                  worker: str | None) -> bool:
-        return self._settle(value, None, version, worker, False)
-
-    def _fail(self, error: BaseException, shed: bool = False) -> bool:
-        return self._settle(None, error, self.version, self.worker, shed)
-
-    def cancel(self) -> bool:
-        """Abandon the call parent-side.  The batch may already sit in
-        the worker's queue — cancellation cannot cross the process
-        boundary, but the worker's own deadline check (and the parent
-        dropping the answer here) keeps a dead client from being waited
-        on.  Returns True when the cancellation won."""
-        self.cancelled = True
-        return self._fail(RequestCancelledError("cluster request "
-                                                "cancelled"))
-
-    def add_done_callback(self, callback) -> None:
-        """Call ``callback(request)`` once settled (immediately if
-        already done), from the settling thread."""
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def exception(self) -> BaseException | None:
-        """The request's error, or None (valid once ``done()``)."""
-        return self._error
-
-    def result(self, timeout: float | None = None):
-        """The estimate (float for ``submit``, array for batch
-        dispatch); raises the request's typed error — ``LoadShedError``
-        when shed, ``WorkerUnavailableError`` when the owner died."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("cluster request not ready")
-        if self._error is not None:
-            raise self._error
-        if self.single:
-            return float(np.asarray(self._value).reshape(-1)[0])
-        return self._value
-
-    def latency(self) -> float | None:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
+    @property
+    def is_batch(self) -> bool:
+        return self.namespace is not None
 
 
 class _WorkerHandle:
@@ -422,8 +340,7 @@ class ClusterEstimateService:
         self._response_q = None
         self._collector: threading.Thread | None = None
         self._collector_stop = threading.Event()
-        self._pending: dict[int, tuple[ClusterRequest, _WorkerHandle,
-                                       bool]] = {}
+        self._pending: dict[int, _Dispatch] = {}
         self._req_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._dead: list[str] = []
@@ -466,37 +383,6 @@ class ClusterEstimateService:
             ("namespace", "stage"))
 
     # ------------------------------------------------------------------
-    # Registry-backed counters (read-only compatibility attributes)
-    # ------------------------------------------------------------------
-    @property
-    def served(self) -> int:
-        return int(self._c_served.value)
-
-    @property
-    def sheds(self) -> int:
-        return int(self._c_sheds.value)
-
-    @property
-    def failures(self) -> int:
-        return int(self._f_failures.total())
-
-    @property
-    def cancellations(self) -> int:
-        return int(self._c_cancel.value)
-
-    @property
-    def unavailable(self) -> int:
-        return int(self._c_unavail.value)
-
-    @property
-    def saturations(self) -> int:
-        return int(self._c_sat.value)
-
-    @property
-    def publishes(self) -> int:
-        return int(self._c_pub.value)
-
-    # ------------------------------------------------------------------
     # Namespace registration
     # ------------------------------------------------------------------
     def add_table(self, estimator, *, namespace: str | None = None) -> str:
@@ -515,7 +401,9 @@ class ClusterEstimateService:
             "table": estimator.table,
             "config": estimator.config,
             "order": list(estimator.model.order),
-            "columns": frozenset(estimator.table.column_names),
+            "route": Route(name, "table",
+                           frozenset({estimator.table.name}),
+                           frozenset(estimator.table.column_names)),
         }
         self._snapshots[name] = snap
         self._versions[name] = 1
@@ -573,8 +461,9 @@ class ClusterEstimateService:
         return self
 
     def stop(self) -> None:
-        if not self._running and not self._handles:
-            return
+        """Stop the workers and unlink the shared snapshot segments —
+        also for a cluster that was never started (``add_table`` already
+        created its segments); idempotent."""
         self._running = False
         if self._supervisor is not None:
             # Stop supervision first: a restart racing teardown would
@@ -598,8 +487,8 @@ class ClusterEstimateService:
         with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
-        for request, _handle, _is_batch in pending:
-            request._fail(RuntimeError("cluster stopped"))
+        for entry in pending:
+            entry.request._fail(RuntimeError("cluster stopped"))
         for handle in self._handles.values():
             handle.request_q.close()
             handle.request_q.cancel_join_thread()
@@ -629,37 +518,25 @@ class ClusterEstimateService:
     # ------------------------------------------------------------------
     def resolve(self, query, namespace: str | None = None) -> str:
         """The namespace serving ``query`` (explicit ``namespace``
-        wins); same rules and typed misses as the single-process
-        router, restricted to table namespaces."""
+        wins), by the router's
+        :func:`~repro.serve.router.resolve_namespace` over this
+        cluster's table namespaces — so a join query raises
+        :class:`UnknownNamespaceError`."""
         if namespace is not None:
             if namespace not in self._specs:
                 raise UnknownNamespaceError(
                     f"unknown namespace {namespace!r} "
                     f"(have {self.namespaces()})")
             return namespace
-        kind, targets = routing_signature(query)
-        if kind != "table":
-            raise UnknownNamespaceError(
-                "cluster workers serve table namespaces; route join "
-                "queries through the single-process front door")
-        matches = [ns for ns, spec in self._specs.items()
-                   if spec["columns"] >= targets]
-        if not matches:
-            raise UnknownNamespaceError(
-                f"no namespace covers columns {sorted(targets)} "
-                f"(have {self.namespaces()})")
-        if len(matches) > 1:
-            raise AmbiguousNamespaceError(
-                f"columns {sorted(targets)} match namespaces "
-                f"{matches}; pass namespace= to pick one")
-        return matches[0]
+        return resolve_namespace(
+            query, [spec["route"] for spec in self._specs.values()]).name
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
     def submit(self, query, *, namespace: str | None = None,
                deadline_ms: float | None = None,
-               trace=None) -> ClusterRequest:
+               trace=None) -> EstimateRequest:
         """Enqueue one query on its namespace's worker; future-like
         handle.  Saturation sheds deadline-first (typed
         :class:`LoadShedError`); a dead owner raises
@@ -667,8 +544,8 @@ class ClusterEstimateService:
         ns = self.resolve(query, namespace=namespace)
         deadline = None if deadline_ms is None \
             else time.perf_counter() + deadline_ms / 1e3
-        return self._dispatch(ns, [query], None, deadline, single=True,
-                              trace=trace)
+        return self._dispatch(ns, [query], None, EstimateRequest(
+            query, None, None, deadline, trace=trace))
 
     def estimate(self, query, *, namespace: str | None = None,
                  deadline_ms: float | None = None) -> float:
@@ -696,10 +573,11 @@ class ClusterEstimateService:
         for i, query in enumerate(queries):
             groups.setdefault(self.resolve(query, namespace=namespace),
                               []).append(i)
-        requests: dict[str, ClusterRequest] = {}
+        requests: dict[str, EstimateRequest] = {}
         for ns, indices in groups.items():
             requests[ns] = self._dispatch(
-                ns, [queries[i] for i in indices], seed, None)
+                ns, [queries[i] for i in indices], seed,
+                EstimateRequest(None, None, None, None))
         out = np.empty(len(queries), dtype=np.float64)
         for ns, indices in groups.items():
             out[indices] = requests[ns].result(
@@ -934,7 +812,7 @@ class ClusterEstimateService:
                 "is unavailable; call recover() to re-place it")
         return handle
 
-    def _adopt_async(self, namespace: str) -> ClusterRequest:
+    def _adopt_async(self, namespace: str) -> EstimateRequest:
         spec = self._specs[namespace]
         handle = self._owner_handle(namespace)
         return self._control(
@@ -942,13 +820,13 @@ class ClusterEstimateService:
             spec["order"], self._snapshots[namespace].name, self._seed)
 
     def _control(self, handle: _WorkerHandle, kind: str,
-                 *payload) -> ClusterRequest:
+                 *payload) -> EstimateRequest:
         """Send a control message (no backpressure window: control is
         rare and must not deadlock behind a full data window)."""
-        request = ClusterRequest(payload[0] if payload else "", 0, None)
+        request = EstimateRequest(None, None, None, None)
         req_id = next(self._req_ids)
         with self._lock:
-            self._pending[req_id] = (request, handle, False)
+            self._pending[req_id] = _Dispatch(request, handle, None, 0, None)
         if self._handles.get(handle.worker_id) is not handle:
             # Same lost race as in _dispatch: the owner died and its
             # orphan sweep already ran; fail typed rather than hang.
@@ -967,16 +845,18 @@ class ClusterEstimateService:
                 f"worker {handle.worker_id} queue is closed: {exc}"))
         return request
 
-    def _dispatch(self, namespace: str, queries: list,
-                  seed: int | None, deadline: float | None,
-                  single: bool = False, trace=None) -> ClusterRequest:
+    def _dispatch(self, namespace: str, queries: list, seed: int | None,
+                  request: EstimateRequest) -> EstimateRequest:
+        """Send ``queries`` as one batch to ``namespace``'s worker;
+        ``request`` (carrying the deadline and trace) settles with the
+        answer — a float when it was made for one submitted query, else
+        the array."""
         try:
             handle = self._owner_handle(namespace)
         except WorkerUnavailableError:
             self._c_unavail.inc(len(queries))
             raise
-        request = ClusterRequest(namespace, len(queries), deadline,
-                                 single=single, trace=trace)
+        deadline = request.deadline
         if not handle.slots.acquire(blocking=False):
             # Saturated: deadline-first shedding.  A deadlined request
             # only waits as long as its budget minus the worker's
@@ -997,8 +877,7 @@ class ClusterEstimateService:
                         f"worker {handle.worker_id} saturated "
                         f"({handle.queue_depth} batches in flight) and "
                         "the remaining deadline budget cannot cover its "
-                        f"batch latency (~{headroom * 1e3:.1f} ms)"),
-                        shed=True)
+                        f"batch latency (~{headroom * 1e3:.1f} ms)"))
                     return request
             else:
                 handle.slots.acquire()
@@ -1010,8 +889,10 @@ class ClusterEstimateService:
                 f"worker {handle.worker_id!r} died while dispatching "
                 f"to namespace {namespace!r}; call recover()")
         req_id = next(self._req_ids)
+        dispatched_at = time.perf_counter()
         with self._lock:
-            self._pending[req_id] = (request, handle, True)
+            self._pending[req_id] = _Dispatch(request, handle, namespace,
+                                              len(queries), dispatched_at)
             handle.in_flight += 1
             handle.dispatched += 1
         if self._handles.get(handle.worker_id) is not handle:
@@ -1025,23 +906,21 @@ class ClusterEstimateService:
                     handle.in_flight -= 1
             if entry is not None:
                 handle.slots.release()
-                self._c_unavail.inc(request.count)
+                self._c_unavail.inc(len(queries))
                 request._fail(WorkerUnavailableError(
                     f"worker {handle.worker_id!r} died while "
                     f"dispatching to namespace {namespace!r}; call "
                     "recover()"))
             return request
-        request.dispatched_at = time.perf_counter()
         self._h_stage.labels(namespace=namespace, stage="slot_wait") \
-            .observe(request.dispatched_at - request.submitted_at)
-        if trace is not None:
-            trace.add_span("slot_wait", request.submitted_at,
-                           request.dispatched_at,
-                           worker=handle.worker_id)
+            .observe(dispatched_at - request.submitted_at)
+        if request.trace is not None:
+            request.trace.add_span("slot_wait", request.submitted_at,
+                                   dispatched_at, worker=handle.worker_id)
         try:
             handle.request_q.put(
                 (req_id, "batch", namespace, list(queries), seed,
-                 deadline, request.dispatched_at))
+                 deadline, dispatched_at))
         except (ValueError, OSError) as exc:
             with self._lock:
                 self._pending.pop(req_id, None)
@@ -1058,15 +937,15 @@ class ClusterEstimateService:
         self._dead.append(worker_id)
         self._ring.remove(worker_id)
         with self._lock:
-            orphaned = [req_id for req_id, (_r, h, _b)
-                        in self._pending.items() if h is handle]
+            orphaned = [req_id for req_id, entry in self._pending.items()
+                        if entry.handle is handle]
             entries = [self._pending.pop(req_id) for req_id in orphaned]
         self.events.emit("worker_crash", worker=worker_id,
                          orphaned=len(entries))
-        for request, _handle, is_batch in entries:
-            if is_batch:
-                self._c_unavail.inc(request.count)
-            request._fail(WorkerUnavailableError(
+        for entry in entries:
+            if entry.is_batch:
+                self._c_unavail.inc(entry.count)
+            entry.request._fail(WorkerUnavailableError(
                 f"worker {worker_id!r} died with the request in "
                 "flight"))
         handle.request_q.close()
@@ -1081,62 +960,60 @@ class ClusterEstimateService:
             worker_id, req_id, status, payload = item
             with self._lock:
                 entry = self._pending.pop(req_id, None)
-                if entry is not None and entry[2]:
-                    entry[1].in_flight -= 1
+                if entry is not None and entry.is_batch:
+                    entry.handle.in_flight -= 1
             if entry is None:
                 continue
-            request, handle, is_batch = entry
+            request, ns = entry.request, entry.namespace
             now = time.perf_counter()
-            if is_batch:
-                handle.slots.release()
-                handle.observe_latency(now - request.submitted_at)
+            if entry.is_batch:
+                entry.handle.slots.release()
+                entry.handle.observe_latency(now - request.submitted_at)
             if status == "ok":
-                if is_batch:
+                if entry.is_batch:
                     values, version, compute_s, worker_t0 = payload
-                    self._observe_stages(request, worker_id, compute_s,
+                    self._observe_stages(entry, worker_id, compute_s,
                                          worker_t0, now)
-                    if request._complete(values, version, worker_id):
-                        self._c_served.inc(request.count)
-                        self._h_latency.labels(
-                            namespace=request.namespace).observe(
-                            request.completed_at - request.submitted_at)
+                    value = values if request.query is None \
+                        else float(values[0])
+                    if request._complete(value, version):
+                        self._c_served.inc(entry.count)
+                        self._h_latency.labels(namespace=ns).observe(
+                            request.latency())
                     else:
-                        self._c_cancel.inc(request.count)
-                        self.events.emit("cancel",
-                                         namespace=request.namespace,
+                        self._c_cancel.inc(entry.count)
+                        self.events.emit("cancel", namespace=ns,
                                          worker=worker_id,
                                          stage="post_compute")
                 else:
-                    request._complete(payload, None, worker_id)
+                    request._complete(payload, None)
             elif status == "shed":
-                if request._fail(LoadShedError(str(payload)), shed=True):
-                    self._c_sheds.inc(request.count)
-                    self.events.emit("shed", namespace=request.namespace,
+                if request._fail(LoadShedError(str(payload))):
+                    self._c_sheds.inc(entry.count)
+                    self.events.emit("shed", namespace=ns,
                                      reason="worker_deadline",
                                      worker=worker_id)
             else:
                 error = payload if isinstance(payload, BaseException) \
                     else RuntimeError(str(payload))
-                if request._fail(error) and is_batch:
+                if request._fail(error) and entry.is_batch:
                     if isinstance(error, WorkerUnavailableError):
                         # Worker-reported transient unavailability
                         # (e.g. not-yet-adopted namespace during a
                         # restart) is retryable, not a failure.
-                        self._c_unavail.inc(request.count)
+                        self._c_unavail.inc(entry.count)
                     else:
                         self._f_failures.labels(
-                            error=type(error).__name__).inc(request.count)
+                            error=type(error).__name__).inc(entry.count)
 
-    def _observe_stages(self, request: ClusterRequest, worker_id: str,
+    def _observe_stages(self, entry: _Dispatch, worker_id: str,
                         compute_s: float, worker_t0: float,
                         now: float) -> None:
         """Per-stage accounting from the response envelope's worker-side
         timestamps (perf_counter is host-wide on Linux, so they share
         the parent's clock)."""
-        ns = request.namespace
-        sent = request.dispatched_at
-        if sent is None:
-            return
+        ns, sent = entry.namespace, entry.dispatched_at
+        trace = entry.request.trace
         queue_wait = max(0.0, worker_t0 - sent)
         collect = max(0.0, now - (worker_t0 + compute_s))
         self._h_stage.labels(namespace=ns, stage="worker_queue_wait") \
@@ -1145,13 +1022,13 @@ class ClusterEstimateService:
             .observe(compute_s)
         self._h_stage.labels(namespace=ns, stage="collect") \
             .observe(collect)
-        if request.trace is not None:
-            request.trace.add_span("worker_queue_wait", sent, worker_t0,
-                                   worker=worker_id)
-            request.trace.add_span("worker_compute", worker_t0,
-                                   worker_t0 + compute_s,
-                                   worker=worker_id, batch=request.count)
-            request.trace.add_span("collect", worker_t0 + compute_s, now)
+        if trace is not None:
+            trace.add_span("worker_queue_wait", sent, worker_t0,
+                           worker=worker_id)
+            trace.add_span("worker_compute", worker_t0,
+                           worker_t0 + compute_s, worker=worker_id,
+                           batch=entry.count)
+            trace.add_span("collect", worker_t0 + compute_s, now)
 
     # ------------------------------------------------------------------
     # Metrics exposition
@@ -1203,9 +1080,10 @@ class ClusterEstimateService:
                 else self._supervisor.stats(),
                 "assignment": dict(self._assignment),
                 "versions": dict(self._versions),
-                "served": self.served, "sheds": self.sheds,
-                "failures": self.failures,
-                "cancellations": self.cancellations,
-                "unavailable": self.unavailable,
-                "saturations": self.saturations,
-                "publishes": self.publishes}
+                "served": int(self._c_served.value),
+                "sheds": int(self._c_sheds.value),
+                "failures": int(self._f_failures.total()),
+                "cancellations": int(self._c_cancel.value),
+                "unavailable": int(self._c_unavail.value),
+                "saturations": int(self._c_sat.value),
+                "publishes": int(self._c_pub.value)}

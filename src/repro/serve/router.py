@@ -33,6 +33,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,6 +306,55 @@ class RefinementPool:
 # ----------------------------------------------------------------------
 # Namespaces + routing
 # ----------------------------------------------------------------------
+class Route(NamedTuple):
+    """What routing reads of a namespace; :class:`Namespace` carries the
+    same four attributes."""
+
+    name: str
+    kind: str                               # "table" | "join"
+    tables: frozenset
+    columns: frozenset
+
+
+def resolve_namespace(query, spaces):
+    """The serving tier's one routing rule: the entry of ``spaces``
+    (anything with ``name``/``kind``/``tables``/``columns``, e.g.
+    :class:`Namespace` or :class:`Route`) that serves ``query``.
+
+    Per :func:`~repro.workload.routing_signature`:
+
+    * a join query (has ``tables``) routes to the join namespace whose
+      schema covers all its tables; when several cover it, the smallest
+      schema wins (exact match beats superset), and a tie raises
+      :class:`AmbiguousNamespaceError`;
+    * a single-table query routes to the unique table namespace whose
+      column set covers every predicated column; zero matches raise
+      :class:`UnknownNamespaceError`, several raise
+      :class:`AmbiguousNamespaceError`.
+    """
+    spaces = list(spaces)
+    kind, targets = routing_signature(query)
+    if kind == "join":
+        matches = [s for s in spaces
+                   if s.kind == "join" and s.tables >= targets]
+        if matches:
+            smallest = min(len(s.tables) for s in matches)
+            matches = [s for s in matches if len(s.tables) == smallest]
+    else:
+        matches = [s for s in spaces
+                   if s.kind == "table" and s.columns >= targets]
+    if not matches:
+        what = "tables" if kind == "join" else "columns"
+        raise UnknownNamespaceError(
+            f"no {kind} namespace covers {what} {sorted(targets)} "
+            f"(have {[s.name for s in spaces]})")
+    if len(matches) > 1:
+        raise AmbiguousNamespaceError(
+            f"{kind} targets {sorted(targets)} match namespaces "
+            f"{[s.name for s in matches]}; pass namespace= to pick one")
+    return matches[0]
+
+
 @dataclass
 class Namespace:
     """One serving namespace: a per-table (or per-join-schema) stack."""
@@ -329,19 +379,8 @@ class Namespace:
 
 
 class MultiTableRegistry:
-    """Keys per-namespace model registries; resolves queries to them.
-
-    Routing rules (see :func:`~repro.workload.routing_signature`):
-
-    * a join query (has ``tables``) routes to the join namespace whose
-      schema covers all its tables; when several cover it, the smallest
-      schema wins (exact match beats superset), and a tie raises
-      :class:`AmbiguousNamespaceError`;
-    * a single-table query routes to the unique table namespace whose
-      column set covers every predicated column; zero matches raise
-      :class:`UnknownNamespaceError`, several raise
-      :class:`AmbiguousNamespaceError`.
-    """
+    """Keys per-namespace model registries; resolves queries to them by
+    :func:`resolve_namespace`."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -392,28 +431,7 @@ class MultiTableRegistry:
         """The namespace serving ``query`` (explicit ``namespace`` wins)."""
         if namespace is not None:
             return self.get(namespace)
-        kind, targets = routing_signature(query)
-        if kind == "join":
-            spaces = [s for s in self.spaces()
-                      if s.kind == "join" and s.tables >= targets]
-            if not spaces:
-                raise UnknownNamespaceError(
-                    f"no join namespace covers tables {sorted(targets)} "
-                    f"(have {self.names()})")
-            smallest = min(len(s.tables) for s in spaces)
-            spaces = [s for s in spaces if len(s.tables) == smallest]
-        else:
-            spaces = [s for s in self.spaces()
-                      if s.kind == "table" and s.columns >= targets]
-            if not spaces:
-                raise UnknownNamespaceError(
-                    f"no table namespace covers columns {sorted(targets)} "
-                    f"(have {self.names()})")
-        if len(spaces) > 1:
-            raise AmbiguousNamespaceError(
-                f"{kind} targets {sorted(targets)} match namespaces "
-                f"{[s.name for s in spaces]}; pass namespace= to pick one")
-        return spaces[0]
+        return resolve_namespace(query, self.spaces())
 
 
 # ----------------------------------------------------------------------
@@ -437,9 +455,7 @@ class RoutedEstimateService:
                  keep_versions: int = 3, max_batch: int = 32,
                  max_wait_ms: float = 2.0, seed: int = 0,
                  refine_epochs: int = 8, data_epochs: int = 3,
-                 auto_refine: bool = False,
-                 train_backend: str | None = None,
-                 metrics=None, events=None):
+                 auto_refine: bool = False, metrics=None, events=None):
         from ..obs import EVENTS, MetricsRegistry
         self.registry = MultiTableRegistry()
         # One shared metrics registry + event log across namespaces: the
@@ -456,7 +472,6 @@ class RoutedEstimateService:
                               refine_epochs=refine_epochs,
                               data_epochs=data_epochs,
                               auto_refine=auto_refine,
-                              train_backend=train_backend,
                               metrics=self.metrics, events=self.events)
         self._running = False
 

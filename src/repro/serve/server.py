@@ -45,18 +45,12 @@ class UAEServer:
                  max_batch: int = 32, max_wait_ms: float = 2.0,
                  refine_epochs: int = 8, data_epochs: int = 3,
                  auto_refine: bool = False, seed: int = 0,
-                 train_backend: str | None = None,
                  namespace: str = "default", pool=None,
                  expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None,
                  chaos: ChaosPlan | None = None, modelops=None):
-        # Refinement runs on the trainer's configured training backend —
-        # the fused engine by default (see ``UAEConfig.train_backend``),
-        # which is what keeps drift-triggered hot-swaps fresh under live
-        # traffic.  Pass ``train_backend="legacy"`` to pin the reference
-        # autograd path.
-        if train_backend is not None:
-            estimator.train_backend = train_backend
+        # Refinement runs on the trainer's configured training backend
+        # (``UAEConfig.train_backend``; the fused engine by default).
         self.trainer = estimator
         # Multi-table wiring (see repro.serve.router): the namespace this
         # server answers for, an optional shared RefinementPool that

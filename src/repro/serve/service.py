@@ -57,6 +57,12 @@ class RequestCancelledError(RuntimeError):
 class EstimateRequest:
     """A single in-flight estimate; a minimal future.
 
+    The one request future of the serving tier: the micro-batcher hands
+    it out for ``submit``, and
+    :class:`~repro.serve.cluster.ClusterEstimateService` uses it for
+    worker round trips too (settled with a float for ``submit``, the
+    answer array for a batch dispatch, or a control reply).
+
     Settlement is first-wins: exactly one of ``_complete`` / ``_fail``
     takes effect, so a caller cancelling concurrently with the worker
     completing never observes a half-settled request.  Done callbacks
@@ -114,8 +120,10 @@ class EstimateRequest:
     def cancel(self) -> bool:
         """Abandon the request: the micro-batcher drops cancelled
         requests before compute, so a cancelled request never occupies a
-        batch slot in a later flush.  Returns True when the cancellation
-        won (the request had not already completed or failed)."""
+        batch slot in a later flush (a cluster batch already queued on a
+        worker still computes; its answer is dropped).  Returns True
+        when the cancellation won (the request had not already completed
+        or failed)."""
         self.cancelled = True       # worker reads this before computing
         return self._fail(RequestCancelledError("request cancelled"))
 
@@ -138,7 +146,9 @@ class EstimateRequest:
     def result(self, timeout: float | None = None) -> float:
         """Block until the estimate is ready; raises the request's error
         (e.g. ``TimeoutError`` on a missed deadline,
-        ``RequestCancelledError`` after a cancellation)."""
+        ``RequestCancelledError`` after a cancellation, and on the
+        cluster ``LoadShedError`` when shed or
+        ``WorkerUnavailableError`` when the owning worker died)."""
         if not self._event.wait(timeout):
             raise TimeoutError("estimate not ready")
         if self._error is not None:
@@ -156,8 +166,7 @@ class EstimateService:
 
     def __init__(self, registry: ModelRegistry, cache: ResultCache | None = None,
                  *, max_batch: int = 32, max_wait_ms: float = 2.0,
-                 seed: int = 0, latency_window: int = 100_000,
-                 expander=None, scale: float | None = None,
+                 seed: int = 0, expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None):
         self.registry = registry
         self.cache = cache
@@ -187,10 +196,9 @@ class EstimateService:
         # EWMA of per-query compute seconds; None until the first flush
         # is measured (no shedding before there is an observation).
         self._cost_per_query: float | None = None
-        self.latencies: deque[float] = deque(maxlen=latency_window)
         # All counters live in the metrics registry (one shared registry
-        # across namespaces when routed); ``served`` & friends are
-        # read-only properties over the namespace-labeled children.
+        # across namespaces when routed); ``stats()`` reads the
+        # namespace-labeled children.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EVENTS
         ns = self.namespace = registry.name
@@ -237,39 +245,14 @@ class EstimateService:
                 "Active model version in the registry", lab) \
             .labels(namespace=ns).set_function(lambda: self.registry.version)
 
-    # ------------------------------------------------------------------
-    # Registry-backed counters (kept as read-only attributes for
-    # backward compatibility with the pre-obs ``stats()`` surface).
-    # ------------------------------------------------------------------
-    @property
-    def served(self) -> int:
-        return int(self._c_served.value)
-
-    @property
-    def cache_served(self) -> int:
-        return int(self._c_cache.value)
-
     @property
     def failures(self) -> int:
+        """Requests failed by an engine/compute error (all error types);
+        ``stats()["failures"]``, kept as an attribute because
+        ``perfbench/plan_join.py`` reads it."""
         return int(sum(child.value
                        for labels, child in self._f_failures.series()
                        if labels["namespace"] == self.namespace))
-
-    @property
-    def deadline_misses(self) -> int:
-        return int(self._c_deadline.value)
-
-    @property
-    def budget_sheds(self) -> int:
-        return int(self._c_sheds.value)
-
-    @property
-    def cancellations(self) -> int:
-        return int(self._c_cancel.value)
-
-    @property
-    def flushes(self) -> int:
-        return int(self._c_flushes.value)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -335,9 +318,7 @@ class EstimateService:
                 request._complete(hit, snap.version, from_cache=True)
                 self._c_cache.inc()
                 self._c_served.inc()
-                lat = request.latency()
-                self.latencies.append(lat)
-                self._h_latency.observe(lat)
+                self._h_latency.observe(request.latency())
                 if trace is not None:
                     trace.add_span("cache_hit", request.submitted_at,
                                    request.completed_at, version=snap.version)
@@ -546,9 +527,7 @@ class EstimateService:
                     if req._complete(hit, snap.version, from_cache=True):
                         self._c_cache.inc()
                         self._c_served.inc()
-                        lat = req.latency()
-                        self.latencies.append(lat)
-                        self._h_latency.observe(lat)
+                        self._h_latency.observe(req.latency())
                     continue
             live.append(req)
         if not live:
@@ -621,9 +600,7 @@ class EstimateService:
                 continue
             if req._complete(float(card), snap.version):
                 self._c_served.inc()
-                lat = req.latency()
-                self.latencies.append(lat)
-                self._h_latency.observe(lat)
+                self._h_latency.observe(req.latency())
                 stage_settle.observe(req.completed_at - done_at)
                 if req.trace is not None:
                     req.trace.add_span("settle", done_at, req.completed_at)
@@ -634,31 +611,19 @@ class EstimateService:
                 self.events.emit("cancel", namespace=self.namespace,
                                  stage="post_compute")
 
-    # ------------------------------------------------------------------
-    def latency_quantiles(self) -> dict[str, float]:
-        # deque.copy() is atomic under the GIL; iterating the live deque
-        # while the worker appends would raise "mutated during iteration".
-        snapshot = self.latencies.copy()
-        if not snapshot:
-            return {"p50_ms": 0.0, "p99_ms": 0.0, "mean_ms": 0.0}
-        arr = np.fromiter(snapshot, dtype=np.float64)
-        return {"p50_ms": float(np.percentile(arr, 50) * 1e3),
-                "p99_ms": float(np.percentile(arr, 99) * 1e3),
-                "mean_ms": float(arr.mean() * 1e3)}
-
     def stats(self) -> dict:
         # Counters come straight from the metrics registry (the same
-        # series exposed on /metrics); time-valued keys carry explicit
-        # unit suffixes (``*_ms``, ``*_seconds``).
-        out = {"served": self.served, "cache_served": self.cache_served,
+        # series exposed on /metrics); latency quantiles live in the
+        # ``repro_serve_latency_seconds`` histogram.
+        out = {"served": int(self._c_served.value),
+               "cache_served": int(self._c_cache.value),
                "failures": self.failures,
-               "deadline_misses": self.deadline_misses,
-               "budget_sheds": self.budget_sheds,
-               "cancellations": self.cancellations,
-               "flushes": self.flushes,
+               "deadline_misses": int(self._c_deadline.value),
+               "budget_sheds": int(self._c_sheds.value),
+               "cancellations": int(self._c_cancel.value),
+               "flushes": int(self._c_flushes.value),
                "model_version": self.registry.version,
-               "cost_ewma_seconds": self._cost_per_query,
-               **self.latency_quantiles()}
+               "cost_ewma_seconds": self._cost_per_query}
         if self.cache is not None:
             out["cache"] = self.cache.stats()
         return out

@@ -9,6 +9,7 @@ samplers consume.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,6 +19,23 @@ from ..data.table import Table
 
 SUPPORTED_OPS = ("=", "!=", "<", "<=", ">", ">=", "IN")
 RANGE_OPS = ("<", "<=", ">", ">=")
+
+
+def sql_literal(value) -> str:
+    """``value`` as the literal :func:`~repro.workload.parse_query` reads
+    back as an equal value: numpy scalars as plain numbers, floats in
+    positional notation (the grammar has no exponent), strings
+    single-quoted with ``''`` escaping, and sequences as a parenthesised
+    IN list."""
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, (list, tuple)):
+        return "(" + ", ".join(sql_literal(v) for v in value) + ")"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return np.format_float_positional(float(value), trim="0")
+    return repr(value)
 
 
 @dataclass(frozen=True)
@@ -31,11 +49,15 @@ class Predicate:
     def __post_init__(self):
         if self.op not in SUPPORTED_OPS:
             raise ValueError(f"unsupported operator {self.op!r}")
-        if self.op == "IN" and not isinstance(self.value, (list, tuple)):
-            raise ValueError("IN predicate needs a list/tuple literal")
+        if self.op == "IN":
+            if not isinstance(self.value, (list, tuple)):
+                raise ValueError("IN predicate needs a list/tuple literal")
+            # One spelling per IN list: equal and hashable whether built
+            # from a list or parsed from SQL.
+            object.__setattr__(self, "value", tuple(self.value))
 
     def __str__(self) -> str:
-        return f"{self.column} {self.op} {self.value!r}"
+        return f"{self.column} {self.op} {sql_literal(self.value)}"
 
 
 @dataclass(frozen=True)

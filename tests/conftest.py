@@ -8,13 +8,27 @@ it, and never append rows to a shared table.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import atexit
+import os
+import shutil
+import tempfile
 
-from repro.core import UAE
-from repro.data import Table, make_toy
-from repro.data.schema import ForeignKey, Schema
-from repro.workload import generate_inworkload, generate_random
+# Benches under test write their artifacts (results/*.json, BENCH_*.json
+# next to the results dir) to a session temp dir, never the tracked
+# copies.  repro.bench.reporting reads REPRO_RESULTS_DIR at import, so
+# this runs before any repro.bench import; set it yourself to keep them.
+if "REPRO_RESULTS_DIR" not in os.environ:
+    _artifacts = tempfile.mkdtemp(prefix="repro-test-artifacts-")
+    atexit.register(shutil.rmtree, _artifacts, ignore_errors=True)
+    os.environ["REPRO_RESULTS_DIR"] = os.path.join(_artifacts, "results")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.core import UAE  # noqa: E402
+from repro.data import Table, make_toy  # noqa: E402
+from repro.data.schema import ForeignKey, Schema  # noqa: E402
+from repro.workload import generate_inworkload, generate_random  # noqa: E402
 
 
 @pytest.fixture(scope="session")

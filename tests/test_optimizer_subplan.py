@@ -373,6 +373,28 @@ class TestServingCardinalityProvider:
             assert got == float(value)
         assert provider.batched_calls == 1
 
+    def test_each_plan_answers_from_its_own_batch(self, serving_front,
+                                                   imdb_schema):
+        """Plans sharing fragments get different values for them from
+        their own seeded streams; prefetching one plan must not change
+        what another plan's card function answers."""
+        front, _, _ = serving_front
+        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        subsets = provider.graph.connected_subsets(SERVING_QUERY.tables)
+        narrow = JoinQuery(("title", "movie_companies"),
+                           SERVING_QUERY.predicates)
+        own = provider.prefetch(SERVING_QUERY)
+        other = provider.prefetch(narrow)
+        shared = provider.graph.connected_subsets(narrow.tables)
+        assert any(other[j] != own[subsets.index(s)]
+                   for j, s in enumerate(shared))
+        assert [provider.lookup(SERVING_QUERY, s) for s in subsets] == \
+            own.tolist()
+        card = provider.card_fn(SERVING_QUERY)
+        assert [card(s) for s in subsets] == [max(v, 1.0) for v in own]
+        assert provider.batched_calls == 2
+        assert provider.fallback_calls == 0
+
     def test_seed_stable_across_instances(self, serving_front, imdb_schema):
         front, _, _ = serving_front
         a = ServingCardinalityProvider(front, imdb_schema, seed=17)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core import UAE
-from repro.serve import (EstimateService, FeedbackCollector, ModelRegistry,
-                         ResultCache, UAEServer)
+from repro.serve import (EstimateRequest, EstimateService, FeedbackCollector,
+                         ModelRegistry, RequestCancelledError, ResultCache,
+                         UAEServer)
 from repro.workload import RollingQErrorMonitor, qerrors
 
 
@@ -147,6 +148,57 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
+class TestEstimateRequest:
+    """The serving tier's one request future (micro-batcher and cluster
+    alike): first-wins settlement under concurrent settlers."""
+
+    TRIALS = 200
+
+    def test_racing_settlers_exactly_one_wins(self):
+        for _ in range(self.TRIALS):
+            request = EstimateRequest(None, None, None, None)
+            early, late, wins = [], [], []
+            request.add_done_callback(early.append)
+            settlers = {
+                "complete": lambda: request._complete(1.0, 7),
+                "fail": lambda: request._fail(ValueError("boom")),
+                "cancel": request.cancel,
+            }
+            barrier = threading.Barrier(len(settlers) + 1)
+
+            def settle(name, fn):
+                barrier.wait()
+                if fn():
+                    wins.append(name)
+
+            def subscribe():
+                barrier.wait()
+                request.add_done_callback(late.append)
+
+            threads = [threading.Thread(target=settle, args=item)
+                       for item in settlers.items()]
+            threads.append(threading.Thread(target=subscribe))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert len(wins) == 1
+            assert early == [request] and late == [request]
+            assert request.done() and request.latency() is not None
+            winner = wins[0]
+            if winner == "complete":
+                assert request.exception() is None
+                assert request.result(timeout=0) == 1.0
+                assert request.version == 7
+            else:
+                expected = ValueError if winner == "fail" \
+                    else RequestCancelledError
+                assert isinstance(request.exception(), expected)
+                with pytest.raises(expected):
+                    request.result(timeout=0)
+
+
+# ----------------------------------------------------------------------
 class TestEstimateService:
     def test_sync_batch_matches_reference_bitwise(self, uae, workload):
         registry = ModelRegistry(uae)
@@ -168,7 +220,7 @@ class TestEstimateService:
         first = service.estimate(query)
         second = service.estimate(query)
         assert first == second
-        assert service.cache_served == 1
+        assert service.stats()["cache_served"] == 1
         assert service.cache.hits == 1
 
     def test_microbatch_worker_matches_sync(self, uae, workload):
@@ -183,8 +235,9 @@ class TestEstimateService:
         sync = service.estimate_batch(queries, seed=3, use_cache=False)
         errs = qerrors(results, np.maximum(sync, 1.0))
         assert errs.max() < 5.0
-        assert service.served >= len(queries)
-        assert service.failures == 0
+        stats = service.stats()
+        assert stats["served"] >= len(queries)
+        assert stats["failures"] == 0
 
     def test_deadline_expired_fails(self, uae, workload):
         registry = ModelRegistry(uae)
@@ -194,7 +247,7 @@ class TestEstimateService:
             request = service.submit(workload.queries[0], deadline_ms=0.0)
             with pytest.raises(TimeoutError):
                 request.result(timeout=10.0)
-        assert service.deadline_misses >= 1
+        assert service.stats()["deadline_misses"] >= 1
 
     def test_deadline_expired_during_compute_fails(self, uae, workload):
         """A request whose budget lapses while the engine runs must fail,
@@ -213,7 +266,7 @@ class TestEstimateService:
             request = service.submit(workload.queries[0], deadline_ms=15.0)
             with pytest.raises(TimeoutError):
                 request.result(timeout=10.0)
-        assert service.deadline_misses >= 1
+        assert service.stats()["deadline_misses"] >= 1
 
     def test_budget_shed_before_compute(self, uae, workload):
         """A request whose remaining budget is below the projected
@@ -243,9 +296,9 @@ class TestEstimateService:
             with pytest.raises(TimeoutError, match="shed before compute"):
                 doomed.result(timeout=10.0)
             assert safe.result(timeout=30.0) >= 0.0
-        assert service.budget_sheds >= 1
-        assert service.stats()["budget_sheds"] == service.budget_sheds
-        assert service.failures == 0
+        stats = service.stats()
+        assert stats["budget_sheds"] >= 1
+        assert stats["failures"] == 0
 
     def test_stop_fails_pending(self, uae, workload):
         registry = ModelRegistry(uae)
@@ -334,7 +387,7 @@ class TestUAEServer:
             request = server.submit(workload.queries[0])
             request.result(timeout=30.0)
             versions.add(request.version)
-        assert server.service.failures == 0
+        assert server.service.stats()["failures"] == 0
         assert server.registry.version == 2
         assert 2 in versions
 

@@ -175,7 +175,7 @@ class TestDeadlinePropagation:
         svc = AsyncEstimateService(server)
         with pytest.raises(TimeoutError):
             run(svc.submit(fresh_query(5), deadline_ms=0.01))
-        assert server.service.deadline_misses >= 1
+        assert server.service.stats()["deadline_misses"] >= 1
 
     def test_router_layer_sheds_typed(self, routed):
         svc = AsyncEstimateService(routed)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from repro.joins import JoinQuery, UAEJoin
-from repro.serve import (AmbiguousNamespaceError, MultiTableRegistry,
+from repro.serve import (HAVE_SHARED_MEMORY, AmbiguousNamespaceError,
+                         ClusterEstimateService, MultiTableRegistry,
                          Namespace, RefinementPool, RoutedEstimateService,
-                         RoutingError, UAEServer, UnknownNamespaceError)
+                         RoutingError, SharedSnapshot, UAEServer,
+                         UnknownNamespaceError)
 from repro.workload import Predicate, Query, routing_signature
 
 
@@ -126,6 +128,64 @@ class TestMultiTableRegistry:
         assert registry.resolve(q).name == "pair"
         q_all = JoinQuery(("title", "movie_info", "movie_companies"), ())
         assert registry.resolve(q_all).name == "star"
+
+
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not HAVE_SHARED_MEMORY,
+                    reason="cluster namespaces live in shared memory")
+class TestResolverParity:
+    """The routed front door and the cluster route by one rule: for any
+    query both name the same namespace or raise the same typed error.
+    Namespaces are registered only (no ``start()``: no worker
+    processes); ``stop()`` unlinks the cluster's snapshot segments."""
+
+    COLUMNS = ("a", "b", "c", "x", "y", "z", "nope")
+
+    @staticmethod
+    def outcome(resolve, query):
+        try:
+            return resolve(query)
+        except RoutingError as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("layout", ["disjoint", "overlapping"])
+    def test_routed_and_cluster_resolve_alike(self, tiny_uae, second_uae,
+                                              tiny_workload,
+                                              second_workload, layout):
+        estimators = {"tiny": tiny_uae, "second": second_uae}
+        if layout == "overlapping":
+            estimators["tiny_copy"] = tiny_uae
+        routed = RoutedEstimateService(seed=0)
+        cluster = ClusterEstimateService(workers=1)
+        try:
+            for name, estimator in estimators.items():
+                routed.add_table(estimator.clone(), namespace=name)
+                cluster.add_table(estimator, namespace=name)
+            rng = np.random.default_rng(2021)
+            queries = [*tiny_workload.queries, *second_workload.queries,
+                       Query(), JoinQuery(("title", "movie_info"), ())]
+            for _ in range(200):
+                columns = rng.choice(self.COLUMNS,
+                                     size=int(rng.integers(1, 4)))
+                queries.append(Query(tuple(
+                    Predicate(str(c), "<=", int(rng.integers(0, 5)))
+                    for c in columns)))
+            seen = set()
+            for query in queries:
+                want = self.outcome(lambda q: routed.resolve(q).name, query)
+                assert self.outcome(cluster.resolve, query) == want, query
+                seen.add(want)
+        finally:
+            segments = [snap.name for snap in cluster._snapshots.values()]
+            cluster.stop()
+        assert {UnknownNamespaceError, AmbiguousNamespaceError} <= seen
+        # "tiny"'s columns are ambiguous once "tiny_copy" shares them.
+        routed_to = {"second", "tiny"} if layout == "disjoint" \
+            else {"second"}
+        assert routed_to <= seen
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                SharedSnapshot.attach(name)
 
 
 # ----------------------------------------------------------------------

@@ -361,3 +361,41 @@ class TestParseSignatureRouteFuzz:
                                     namespace="vehicles").name == "vehicles"
             with pytest.raises(UnknownNamespaceError):
                 registry.resolve(parsed, namespace="missing")
+
+
+# ----------------------------------------------------------------------
+# Round trip: str(query) is SQL that parse_query reads back as the query
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=["dmv", "census"])
+def generated_queries(request):
+    from repro.data import load
+    from repro.workload import generate_inworkload, generate_random
+    table = load(request.param, rows=2000, seed=0)
+    rng = np.random.default_rng(7)
+    return [*generate_inworkload(table, 100, rng).queries,
+            *generate_random(table, 100, rng).queries]
+
+
+class TestStrRoundTrip:
+    @pytest.mark.parametrize("pred", [
+        Predicate("a", "=", np.int32(5)),
+        Predicate("a", "IN", (1,)),
+        Predicate("a", "IN", [1, 2]),
+        Predicate("a", "=", "it's"),
+        Predicate("a", "=", 1.5e-07),
+    ], ids=["numpy-int", "in-one", "in-list", "quote", "tiny-float"])
+    def test_literal_round_trips(self, pred):
+        query = Query((pred,))
+        assert parse_query(str(query)) == query
+
+    def test_generated_queries_round_trip(self, generated_queries):
+        for query in generated_queries:
+            assert parse_query(str(query)) == query, str(query)
+
+    def test_join_query_predicates_round_trip(self):
+        from repro.joins import JoinQuery
+        preds = (Predicate("title.kind_id", "IN", (np.int64(1),)),
+                 Predicate("movie_info.note", "!=", "o'neil"),
+                 Predicate("title.rating", ">", np.float64(0.25)))
+        query = JoinQuery(("title", "movie_info"), preds)
+        assert parse_query(str(query)) == Query(preds)
