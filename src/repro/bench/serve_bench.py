@@ -5,7 +5,9 @@ Drives the :mod:`repro.serve` subsystem through four phases:
 1. **steady** — sustained in-distribution traffic (with realistic query
    repetition) through the micro-batching service; measures q/s and
    p50/p99 latency, and times the same stream through plain engine
-   batching as the no-serving-layer baseline;
+   batching as the no-serving-layer baseline (five interleaved
+   serving/engine pass pairs, each on its own fresh stream; the
+   ``throughput_beats_engine`` gate reads the median ratio);
 2. **shifted** — the table grows by 40% (new rows skewed to one region,
    the ``incremental_data`` setup) and the workload shifts onto the new
    region; the stale model's rolling q-error degrades past the drift
@@ -56,6 +58,7 @@ _WAVE = 64                  # closed-loop submission window
 _PROBES = 12                # consistency probe set size
 _SEED = 1234                # pinned sampling seed for bit-identity checks
 _SPLIT = 0.6                # initial fraction of the table; rest arrives live
+_THROUGHPUT_PASSES = 5      # serving/engine pass pairs behind the qps gate
 
 
 def _zipf_stream(queries: list, n_total: int,
@@ -84,6 +87,18 @@ def _serve_stream(server: UAEServer,
         results.extend(r.result(timeout=120.0) for r in requests)
         latencies.extend(r.latency() for r in requests)
     return time.perf_counter() - start, results, latencies
+
+
+def _engine_qps(snap, table: Table, stream: list) -> float:
+    """Plain engine batching over ``stream`` (chunked estimate_batch, as
+    in the BENCH_infer latency bench, no cache): the no-serving-subsystem
+    baseline the serving throughput is gated against."""
+    model = snap.model
+    constraints = [model.fact.expand_masks(q.masks(table)) for q in stream]
+    start = time.perf_counter()
+    for lo in range(0, len(constraints), 8):
+        model.sampler.estimate_batch(constraints[lo:lo + 8])
+    return len(stream) / (time.perf_counter() - start)
 
 
 def _phase_latency(latencies: list) -> dict[str, float]:
@@ -891,16 +906,30 @@ def run_serving(profile: Profile | None = None,
                      "qerr_p95": steady_err.p95,
                      "version": server.registry.version})
 
-        # Plain engine batching over the identical stream: the
-        # no-serving-subsystem baseline (chunked estimate_batch, as in
-        # the BENCH_infer latency bench).
-        sampler = v1.model.sampler
-        constraints = [v1.model.fact.expand_masks(q.masks(base))
-                       for q in stream]
-        start = time.perf_counter()
-        for lo in range(0, len(constraints), 8):
-            sampler.estimate_batch(constraints[lo:lo + 8])
-        engine_qps = len(stream) / (time.perf_counter() - start)
+        # Serving vs plain engine batching, each pair on the identical
+        # stream, interleaved: the steady stream above, then fresh
+        # streams made and warmed the same way (new queries, so the
+        # cache helps every pass alike) from their own generator, which
+        # leaves the later phases' queries unchanged.  The gate reads
+        # the median ratio — one short pass pair on a shared host is
+        # too noisy to decide on.
+        passes = [{"serving_qps": serving_qps,
+                   "engine_qps": _engine_qps(v1, base, stream)}]
+        pass_rng = np.random.default_rng(2025)
+        for _ in range(_THROUGHPUT_PASSES - 1):
+            fresh = generate_inworkload(base, n_stream, pass_rng)
+            pass_stream = _zipf_stream(fresh.queries, n_stream, pass_rng)
+            server.estimate_batch(fresh.queries[:8])
+            pass_elapsed, _, _ = _serve_stream(server, pass_stream)
+            passes.append({"serving_qps": len(pass_stream) / pass_elapsed,
+                           "engine_qps": _engine_qps(v1, base,
+                                                     pass_stream)})
+        for row in passes:
+            row["ratio"] = row["serving_qps"] / row["engine_qps"]
+        qps_ratio = float(np.median([row["ratio"] for row in passes]))
+        serving_qps = float(np.median([row["serving_qps"]
+                                       for row in passes]))
+        engine_qps = float(np.median([row["engine_qps"] for row in passes]))
 
         # Drift threshold: degradation relative to the steady state
         # (1.25x the steady p90, floored — the shifted phase degrades the
@@ -1001,8 +1030,7 @@ def run_serving(profile: Profile | None = None,
         p99 = rows[0]["p99_ms"]
         checks["latency_sane"] = p99 < 2000.0
         qps_floor = 0.9 if profile.name == "ci" else 1.0
-        checks["throughput_beats_engine"] = \
-            serving_qps >= qps_floor * engine_qps
+        checks["throughput_beats_engine"] = qps_ratio >= qps_floor
         stats = server.stats()
 
     multi = None
@@ -1063,6 +1091,8 @@ def run_serving(profile: Profile | None = None,
         "repeat_fraction": _REPEAT_FRACTION,
         "serving_qps": serving_qps,
         "engine_qps_baseline": engine_qps,
+        "throughput_passes": passes,
+        "throughput_ratio_median": qps_ratio,
         "infer_bench_engine_qps": infer_reference,
         "p50_ms": rows[0]["p50_ms"],
         "p99_ms": rows[0]["p99_ms"],
@@ -1105,8 +1135,9 @@ def run_serving(profile: Profile | None = None,
             f"serving bench invariants violated: {failed} "
             f"[drift {drift:.2f} vs threshold "
             f"{server.feedback.threshold:.2f}; shifted q-error mean "
-            f"{before.mean:.2f} -> {after.mean:.2f}; serving "
-            f"{serving_qps:.0f} q/s vs engine {engine_qps:.0f} q/s; "
+            f"{before.mean:.2f} -> {after.mean:.2f}; serving/engine "
+            f"q/s ratio {qps_ratio:.2f} (median of {len(passes)} pass "
+            f"pairs); "
             f"p99 {p99:.1f} ms; failures "
             f"{server.service.stats()['failures']}]; see "
             f"{BENCH_SERVE_PATH if write_artifact else 'payload'}")

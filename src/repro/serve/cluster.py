@@ -22,13 +22,16 @@ one process to N:
   invalidates and recompiles its engine exactly as in-process training
   would.
 * **Load-shedding balancer** — :class:`ClusterEstimateService` routes by
-  the router's :func:`~repro.serve.router.resolve_namespace`, applies
-  backpressure through bounded per-worker in-flight windows, and when a
-  worker saturates sheds *deadline-first*: a request whose remaining
-  budget cannot cover the queue wait plus the worker's observed batch
-  latency fails immediately with a typed :class:`LoadShedError` (never a
-  silent late answer, never an untyped crash), while deadline-free
-  requests simply wait for a slot.
+  the router's :func:`~repro.serve.router.resolve_namespace` and bounds
+  each worker's in-flight window.  Dispatch never blocks the caller: when
+  a worker's window is full the dispatch is *parked* in that worker's
+  FIFO, and the collector sends the head of the FIFO each time a slot
+  frees.  Shedding is *deadline-first*: a request whose remaining budget
+  cannot cover the worker's observed batch latency fails with a typed
+  :class:`LoadShedError` (never a silent late answer, never an untyped
+  crash) — at once when it has no budget left, else from the FIFO the
+  moment its budget runs out — while deadline-free requests simply wait
+  their turn.
 
 Crash containment: a dead worker surfaces as a typed
 :class:`~repro.serve.placement.WorkerUnavailableError` on every request
@@ -50,11 +53,11 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import queue as queue_mod
 import signal
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from multiprocessing import connection as mp_connection
 from typing import NamedTuple
 
 import numpy as np
@@ -93,11 +96,13 @@ def _limit_blas_threads(n: int = 1) -> None:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _worker_main(worker_id: str, request_q, response_q,
+def _worker_main(worker_id: str, request_q, replies,
                  chaos=None, incarnation: int = 0) -> None:
     """One shared-nothing worker: adopt namespaces, serve batches,
     re-read snapshot segments on publish.  Runs until a ``stop`` message
     (or the process is killed — the balancer contains the crash).
+    Replies go out on ``replies``, the write end of a pipe only this
+    worker writes to.
 
     ``chaos`` is an optional :class:`~repro.chaos.ChaosPlan` copy; this
     worker evaluates the ``worker.batch`` hook on every batch message
@@ -130,7 +135,7 @@ def _worker_main(worker_id: str, request_q, response_q,
 
     def respond(req_id, status, payload=None) -> None:
         try:
-            response_q.put((worker_id, req_id, status, payload))
+            replies.send((worker_id, req_id, status, payload))
         except (ValueError, OSError):      # parent gone: nothing to do
             pass
 
@@ -184,9 +189,6 @@ def _worker_main(worker_id: str, request_q, response_q,
                                         namespace=namespace,
                                         incarnation=incarnation)
                     if fault is not None and fault.action == "kill":
-                        # Die before any respond(): a SIGKILL mid-put
-                        # could wedge the shared response queue for
-                        # the surviving workers.
                         os.kill(os.getpid(), signal.SIGKILL)
                     if fault is not None and fault.action == "sleep":
                         time.sleep(float(
@@ -245,6 +247,7 @@ def _worker_main(worker_id: str, request_q, response_q,
                 respond(req_id, "err", RuntimeError(repr(exc)))
     for buf in buffers.values():
         buf.close()
+    replies.close()
 
 
 # ----------------------------------------------------------------------
@@ -266,17 +269,30 @@ class _Dispatch(NamedTuple):
         return self.namespace is not None
 
 
-class _WorkerHandle:
-    """Parent-side view of one worker: process, queue, in-flight window."""
+class _Parked(NamedTuple):
+    """A batch dispatch waiting in its worker's FIFO for a free slot."""
 
-    def __init__(self, worker_id: str, process, request_q,
+    request: EstimateRequest
+    namespace: str
+    queries: list
+    seed: int | None
+
+
+class _WorkerHandle:
+    """Parent-side view of one worker: process, inbox, reply pipe,
+    in-flight window and the FIFO of dispatches parked while the window
+    is full.  ``in_flight`` and ``parked`` are guarded by the cluster's
+    lock."""
+
+    def __init__(self, worker_id: str, process, request_q, replies,
                  queue_depth: int):
         self.worker_id = worker_id
         self.process = process
         self.request_q = request_q
+        self.replies = replies                    # read end; worker writes
         self.queue_depth = int(queue_depth)
-        self.slots = threading.BoundedSemaphore(self.queue_depth)
-        self.in_flight = 0
+        self.in_flight = 0                        # batches holding a slot
+        self.parked: deque[_Parked] = deque()
         self.ewma_seconds: float | None = None   # observed batch latency
         self.dispatched = 0
 
@@ -304,12 +320,13 @@ class ClusterEstimateService:
     owning worker; ``recover`` heals after a worker crash.
 
     ``queue_depth`` bounds the number of un-acked batches per worker —
-    the backpressure window.  When the window is full, deadline-free
-    calls block for a slot while deadlined calls are shed as soon as
-    their remaining budget drops under the worker's observed batch
-    latency (deadline-first shedding: the requests that cannot make it
-    are dropped immediately, typed, before any compute is wasted on
-    them).
+    the backpressure window.  No call blocks on it: when the window is
+    full the dispatch parks in the worker's FIFO and is sent when a slot
+    frees, and a deadlined one is shed as soon as its remaining budget
+    drops under the worker's observed batch latency (deadline-first
+    shedding: the requests that cannot make it are dropped, typed,
+    before any compute is wasted on them).  A caller that cancels a
+    parked request frees its place in the FIFO.
     """
 
     def __init__(self, *, workers: int = 2, queue_depth: int = 4,
@@ -337,12 +354,16 @@ class ClusterEstimateService:
         self._versions: dict[str, int] = {}
         self._assignment: dict[str, str] = {}
         self._handles: dict[str, _WorkerHandle] = {}
-        self._response_q = None
+        self._wake_r: int | None = None    # pipe that wakes the collector
+        self._wake_w: int | None = None
         self._collector: threading.Thread | None = None
         self._collector_stop = threading.Event()
         self._pending: dict[int, _Dispatch] = {}
         self._req_ids = itertools.count(1)
         self._lock = threading.Lock()
+        # When the collector next wakes on its own (under ``_lock``);
+        # parking a request that must be shed sooner wakes it.
+        self._collector_wake_at = 0.0
         self._dead: list[str] = []
         self._running = False
         self.chaos = chaos                 # optional ChaosPlan, forked
@@ -429,18 +450,12 @@ class ClusterEstimateService:
                                "multiprocessing.shared_memory")
         if not self._specs:
             raise RuntimeError("no namespaces registered")
-        self._response_q = self._ctx.Queue()
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         for i in range(self.num_workers):
             worker_id = f"w{i}"
-            request_q = self._ctx.Queue()
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(worker_id, request_q, self._response_q,
-                      self.chaos, 0),
-                name=f"{self.name}-{worker_id}", daemon=True)
-            process.start()
-            self._handles[worker_id] = _WorkerHandle(
-                worker_id, process, request_q, self.queue_depth)
+            self._handles[worker_id] = self._fork_worker(worker_id, 0)
             self._ring.add(worker_id)
         # Collector starts strictly after every fork: forking a process
         # while parent threads hold queue locks can deadlock the child.
@@ -487,17 +502,21 @@ class ClusterEstimateService:
         with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
+            for handle in self._handles.values():
+                pending.extend(handle.parked)
+                handle.parked.clear()
         for entry in pending:
             entry.request._fail(RuntimeError("cluster stopped"))
         for handle in self._handles.values():
             handle.request_q.close()
             handle.request_q.cancel_join_thread()
+            handle.replies.close()
             self._ring.remove(handle.worker_id)
         self._handles.clear()
-        if self._response_q is not None:
-            self._response_q.close()
-            self._response_q.cancel_join_thread()
-            self._response_q = None
+        if self._wake_r is not None:
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+            self._wake_r = self._wake_w = None
         for snap in self._snapshots.values():
             snap.close()
             snap.unlink()
@@ -538,8 +557,9 @@ class ClusterEstimateService:
                deadline_ms: float | None = None,
                trace=None) -> EstimateRequest:
         """Enqueue one query on its namespace's worker; future-like
-        handle.  Saturation sheds deadline-first (typed
-        :class:`LoadShedError`); a dead owner raises
+        handle.  Never blocks: a saturated worker parks the query in its
+        FIFO, and sheds it deadline-first (typed :class:`LoadShedError`);
+        a dead owner raises
         :class:`~repro.serve.placement.WorkerUnavailableError`."""
         ns = self.resolve(query, namespace=namespace)
         deadline = None if deadline_ms is None \
@@ -711,23 +731,16 @@ class ClusterEstimateService:
         self._dead.remove(worker_id)
         incarnation = self._incarnations.get(worker_id, 0) + 1
         self._incarnations[worker_id] = incarnation
-        request_q = self._ctx.Queue()
         # Fork with the collector parked: forking while a parent
-        # thread sits inside the response queue's internal locks can
-        # deadlock the child (same discipline as start(), where the
-        # collector starts strictly after every fork).
+        # thread holds an internal lock can deadlock the child (same
+        # discipline as start(), where the collector starts strictly
+        # after every fork).
         self._pause_collector()
         try:
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(worker_id, request_q, self._response_q,
-                      self.chaos, incarnation),
-                name=f"{self.name}-{worker_id}", daemon=True)
-            process.start()
+            handle = self._fork_worker(worker_id, incarnation)
         finally:
             self._resume_collector()
-        self._handles[worker_id] = _WorkerHandle(
-            worker_id, process, request_q, self.queue_depth)
+        self._handles[worker_id] = handle
         self._ring.add(worker_id)
         new_assignment = self._ring.assign(self._specs,
                                            balance=self.balance)
@@ -772,6 +785,23 @@ class ClusterEstimateService:
             return self._supervisor
         self._supervisor = WorkerSupervisor(self, **kwargs).start()
         return self._supervisor
+
+    def _fork_worker(self, worker_id: str,
+                     incarnation: int) -> _WorkerHandle:
+        """Start one worker process with its own inbox and reply pipe.
+        The worker is the only writer of its pipe, so one killed
+        mid-reply can never leave a lock held that other workers need
+        to answer."""
+        request_q = self._ctx.Queue()
+        replies, writer = self._ctx.Pipe(duplex=False)
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(worker_id, request_q, writer, self.chaos, incarnation),
+            name=f"{self.name}-{worker_id}", daemon=True)
+        process.start()
+        writer.close()              # the worker holds the write end
+        return _WorkerHandle(worker_id, process, request_q, replies,
+                             self.queue_depth)
 
     def _pause_collector(self) -> None:
         self._collector_stop.set()
@@ -847,71 +877,66 @@ class ClusterEstimateService:
 
     def _dispatch(self, namespace: str, queries: list, seed: int | None,
                   request: EstimateRequest) -> EstimateRequest:
-        """Send ``queries`` as one batch to ``namespace``'s worker;
-        ``request`` (carrying the deadline and trace) settles with the
-        answer — a float when it was made for one submitted query, else
-        the array."""
+        """Send ``queries`` as one batch to ``namespace``'s worker
+        without blocking; ``request`` (carrying the deadline and trace)
+        settles with the answer — a float when it was made for one
+        submitted query, else the array.  A full window parks the batch
+        in the worker's FIFO, or sheds it when its deadline leaves no
+        budget for the worker's batch latency."""
         try:
             handle = self._owner_handle(namespace)
         except WorkerUnavailableError:
             self._c_unavail.inc(len(queries))
             raise
+        entry = _Parked(request, namespace, list(queries), seed)
+        headroom = handle.ewma_seconds or 0.0
         deadline = request.deadline
-        if not handle.slots.acquire(blocking=False):
-            # Saturated: deadline-first shedding.  A deadlined request
-            # only waits as long as its budget minus the worker's
-            # observed batch latency allows; a deadline-free request
-            # blocks for a slot (pure backpressure).
-            self._c_sat.inc()
-            if deadline is not None:
-                headroom = handle.ewma_seconds or 0.0
-                budget = deadline - time.perf_counter() - headroom
-                if budget <= 0 or not handle.slots.acquire(
-                        timeout=budget):
-                    self._c_sheds.inc(len(queries))
-                    self.events.emit("shed", namespace=namespace,
-                                     reason="saturated",
-                                     worker=handle.worker_id,
-                                     headroom_s=headroom)
-                    request._fail(LoadShedError(
-                        f"worker {handle.worker_id} saturated "
-                        f"({handle.queue_depth} batches in flight) and "
-                        "the remaining deadline budget cannot cover its "
-                        f"batch latency (~{headroom * 1e3:.1f} ms)"))
-                    return request
+        with self._lock:
+            if self._handles.get(handle.worker_id) is not handle:
+                action = "gone"
+            elif handle.in_flight < handle.queue_depth \
+                    and not handle.parked:
+                handle.in_flight += 1
+                action = "send"
+            elif deadline is not None \
+                    and deadline - time.perf_counter() - headroom <= 0:
+                action = "shed"
             else:
-                handle.slots.acquire()
-        if not handle.alive():
-            handle.slots.release()
-            self._mark_dead(handle.worker_id)
-            self._c_unavail.inc(len(queries))
-            raise WorkerUnavailableError(
-                f"worker {handle.worker_id!r} died while dispatching "
-                f"to namespace {namespace!r}; call recover()")
+                handle.parked.append(entry)
+                # Wake the collector when this entry must be shed before
+                # it would next wake on its own.
+                action = "wake" if deadline is not None and deadline \
+                    - headroom < self._collector_wake_at else "park"
+        if action == "send":
+            self._send(handle, entry)
+        elif action == "gone":
+            self._fail_gone(handle, entry)
+        else:
+            self._c_sat.inc()
+            if action == "shed":
+                self._shed(handle, entry)
+            elif action == "wake":
+                self._wake_collector()
+        return request
+
+    def _send(self, handle: _WorkerHandle, entry: _Parked) -> None:
+        """Put a batch that holds one of ``handle``'s slots on the
+        worker's inbox; failures settle the request typed."""
+        request, namespace = entry.request, entry.namespace
         req_id = next(self._req_ids)
         dispatched_at = time.perf_counter()
         with self._lock:
-            self._pending[req_id] = _Dispatch(request, handle, namespace,
-                                              len(queries), dispatched_at)
-            handle.in_flight += 1
-            handle.dispatched += 1
-        if self._handles.get(handle.worker_id) is not handle:
-            # Lost race with _mark_dead: its orphan sweep ran between
-            # the alive() check above and this registration, so nothing
-            # will ever settle the entry — fail it here, typed, instead
-            # of letting the caller wait out the full request timeout.
-            with self._lock:
-                entry = self._pending.pop(req_id, None)
-                if entry is not None:
-                    handle.in_flight -= 1
-            if entry is not None:
-                handle.slots.release()
-                self._c_unavail.inc(len(queries))
-                request._fail(WorkerUnavailableError(
-                    f"worker {handle.worker_id!r} died while "
-                    f"dispatching to namespace {namespace!r}; call "
-                    "recover()"))
-            return request
+            alive = self._handles.get(handle.worker_id) is handle
+            if alive:
+                self._pending[req_id] = _Dispatch(
+                    request, handle, namespace, len(entry.queries),
+                    dispatched_at)
+                handle.dispatched += 1
+            else:
+                handle.in_flight -= 1
+        if not alive:
+            self._fail_gone(handle, entry)
+            return
         self._h_stage.labels(namespace=namespace, stage="slot_wait") \
             .observe(dispatched_at - request.submitted_at)
         if request.trace is not None:
@@ -919,16 +944,82 @@ class ClusterEstimateService:
                                    dispatched_at, worker=handle.worker_id)
         try:
             handle.request_q.put(
-                (req_id, "batch", namespace, list(queries), seed,
-                 deadline, dispatched_at))
+                (req_id, "batch", namespace, entry.queries, entry.seed,
+                 request.deadline, dispatched_at))
         except (ValueError, OSError) as exc:
             with self._lock:
-                self._pending.pop(req_id, None)
-                handle.in_flight -= 1
-            handle.slots.release()
+                if self._pending.pop(req_id, None) is not None:
+                    handle.in_flight -= 1
             request._fail(WorkerUnavailableError(
                 f"worker {handle.worker_id} queue is closed: {exc}"))
-        return request
+
+    def _fail_gone(self, handle: _WorkerHandle, entry: _Parked) -> None:
+        """Lost race with _mark_dead: its sweep already ran, so nothing
+        would ever settle the request — fail it typed instead of letting
+        the caller wait out the full request timeout."""
+        self._c_unavail.inc(len(entry.queries))
+        entry.request._fail(WorkerUnavailableError(
+            f"worker {handle.worker_id!r} died while dispatching to "
+            f"namespace {entry.namespace!r}; call recover()"))
+
+    def _shed(self, handle: _WorkerHandle, entry: _Parked) -> None:
+        headroom = handle.ewma_seconds or 0.0
+        if entry.request._fail(LoadShedError(
+                f"worker {handle.worker_id} saturated "
+                f"({handle.queue_depth} batches in flight) and the "
+                "remaining deadline budget cannot cover its batch "
+                f"latency (~{headroom * 1e3:.1f} ms)")):
+            self._c_sheds.inc(len(entry.queries))
+            self.events.emit("shed", namespace=entry.namespace,
+                             reason="saturated", worker=handle.worker_id,
+                             headroom_s=headroom)
+
+    def _wake_collector(self) -> None:
+        try:
+            os.write(self._wake_w, b"w")
+        except (TypeError, OSError):
+            pass                # stopped, or a wake-up is already pending
+
+    def _service_parked(self) -> float:
+        """Collector side of the parked FIFOs: drop cancelled entries,
+        shed those whose budget ran out, send the heads that fit into
+        free slots.  Returns seconds until the next parked entry must be
+        shed (capped at the collector's 0.2 s poll)."""
+        now = time.perf_counter()
+        wake_at = now + 0.2
+        sends, sheds, drops = [], [], []
+        with self._lock:
+            for handle in list(self._handles.values()):
+                if not handle.parked:
+                    continue
+                headroom = handle.ewma_seconds or 0.0
+                keep: deque[_Parked] = deque()
+                for entry in handle.parked:
+                    deadline = entry.request.deadline
+                    if entry.request.done():        # cancelled by caller
+                        drops.append(entry)
+                    elif deadline is not None \
+                            and deadline - now - headroom <= 0:
+                        sheds.append((handle, entry))
+                    elif not keep \
+                            and handle.in_flight < handle.queue_depth:
+                        handle.in_flight += 1
+                        sends.append((handle, entry))
+                    else:
+                        keep.append(entry)
+                        if deadline is not None:
+                            wake_at = min(wake_at, deadline - headroom)
+                handle.parked = keep
+            self._collector_wake_at = wake_at
+        for handle, entry in sends:
+            self._send(handle, entry)
+        for handle, entry in sheds:
+            self._shed(handle, entry)
+        for entry in drops:
+            self._c_cancel.inc(len(entry.queries))
+            self.events.emit("cancel", namespace=entry.namespace,
+                             stage="parked")
+        return max(0.0, wake_at - time.perf_counter())
 
     def _mark_dead(self, worker_id: str) -> None:
         handle = self._handles.pop(worker_id, None)
@@ -940,71 +1031,98 @@ class ClusterEstimateService:
             orphaned = [req_id for req_id, entry in self._pending.items()
                         if entry.handle is handle]
             entries = [self._pending.pop(req_id) for req_id in orphaned]
+            parked = list(handle.parked)
+            handle.parked.clear()
         self.events.emit("worker_crash", worker=worker_id,
-                         orphaned=len(entries))
+                         orphaned=len(entries) + len(parked))
         for entry in entries:
             if entry.is_batch:
                 self._c_unavail.inc(entry.count)
             entry.request._fail(WorkerUnavailableError(
                 f"worker {worker_id!r} died with the request in "
                 "flight"))
+        for entry in parked:
+            self._c_unavail.inc(len(entry.queries))
+            entry.request._fail(WorkerUnavailableError(
+                f"worker {worker_id!r} died with the request queued "
+                "for it"))
         handle.request_q.close()
         handle.request_q.cancel_join_thread()
 
     def _collect_loop(self) -> None:
+        closed: set = set()         # reply pipes of workers that exited
         while not self._collector_stop.is_set():
+            wait = self._service_parked()
+            conns = [handle.replies
+                     for handle in list(self._handles.values())]
+            closed.intersection_update(conns)
+            conns = [conn for conn in conns if conn not in closed]
             try:
-                item = self._response_q.get(timeout=0.2)
-            except (queue_mod.Empty, OSError, ValueError):
-                continue
-            worker_id, req_id, status, payload = item
-            with self._lock:
-                entry = self._pending.pop(req_id, None)
-                if entry is not None and entry.is_batch:
-                    entry.handle.in_flight -= 1
-            if entry is None:
-                continue
-            request, ns = entry.request, entry.namespace
-            now = time.perf_counter()
+                ready = mp_connection.wait(conns + [self._wake_r],
+                                           timeout=wait)
+            except (OSError, ValueError):
+                continue            # a pipe closed under the wait
+            for conn in ready:
+                if conn == self._wake_r:
+                    os.read(self._wake_r, 4096)
+                    continue
+                try:
+                    item = conn.recv()
+                except (EOFError, OSError, ValueError):
+                    # The worker is gone; _mark_dead fails what it owed.
+                    closed.add(conn)
+                    continue
+                self._collect(item)
+
+    def _collect(self, item) -> None:
+        """Settle one worker reply (a batch reply frees its slot)."""
+        worker_id, req_id, status, payload = item
+        with self._lock:
+            entry = self._pending.pop(req_id, None)
+            if entry is not None and entry.is_batch:
+                entry.handle.in_flight -= 1
+        if entry is None:
+            return                          # already failed by _mark_dead
+        request, ns = entry.request, entry.namespace
+        now = time.perf_counter()
+        if entry.is_batch:
+            entry.handle.observe_latency(now - request.submitted_at)
+        if status == "ok":
             if entry.is_batch:
-                entry.handle.slots.release()
-                entry.handle.observe_latency(now - request.submitted_at)
-            if status == "ok":
-                if entry.is_batch:
-                    values, version, compute_s, worker_t0 = payload
-                    self._observe_stages(entry, worker_id, compute_s,
-                                         worker_t0, now)
-                    value = values if request.query is None \
-                        else float(values[0])
-                    if request._complete(value, version):
-                        self._c_served.inc(entry.count)
-                        self._h_latency.labels(namespace=ns).observe(
-                            request.latency())
-                    else:
-                        self._c_cancel.inc(entry.count)
-                        self.events.emit("cancel", namespace=ns,
-                                         worker=worker_id,
-                                         stage="post_compute")
+                values, version, compute_s, worker_t0 = payload
+                self._observe_stages(entry, worker_id, compute_s,
+                                     worker_t0, now)
+                value = values if request.query is None \
+                    else float(values[0])
+                if request._complete(value, version):
+                    self._c_served.inc(entry.count)
+                    self._h_latency.labels(namespace=ns).observe(
+                        request.latency())
                 else:
-                    request._complete(payload, None)
-            elif status == "shed":
-                if request._fail(LoadShedError(str(payload))):
-                    self._c_sheds.inc(entry.count)
-                    self.events.emit("shed", namespace=ns,
-                                     reason="worker_deadline",
-                                     worker=worker_id)
+                    self._c_cancel.inc(entry.count)
+                    self.events.emit("cancel", namespace=ns,
+                                     worker=worker_id,
+                                     stage="post_compute")
             else:
-                error = payload if isinstance(payload, BaseException) \
-                    else RuntimeError(str(payload))
-                if request._fail(error) and entry.is_batch:
-                    if isinstance(error, WorkerUnavailableError):
-                        # Worker-reported transient unavailability
-                        # (e.g. not-yet-adopted namespace during a
-                        # restart) is retryable, not a failure.
-                        self._c_unavail.inc(entry.count)
-                    else:
-                        self._f_failures.labels(
-                            error=type(error).__name__).inc(entry.count)
+                request._complete(payload, None)
+        elif status == "shed":
+            if request._fail(LoadShedError(str(payload))):
+                self._c_sheds.inc(entry.count)
+                self.events.emit("shed", namespace=ns,
+                                 reason="worker_deadline",
+                                 worker=worker_id)
+        else:
+            error = payload if isinstance(payload, BaseException) \
+                else RuntimeError(str(payload))
+            if request._fail(error) and entry.is_batch:
+                if isinstance(error, WorkerUnavailableError):
+                    # Worker-reported transient unavailability
+                    # (e.g. not-yet-adopted namespace during a
+                    # restart) is retryable, not a failure.
+                    self._c_unavail.inc(entry.count)
+                else:
+                    self._f_failures.labels(
+                        error=type(error).__name__).inc(entry.count)
 
     def _observe_stages(self, entry: _Dispatch, worker_id: str,
                         compute_s: float, worker_t0: float,
@@ -1071,6 +1189,7 @@ class ClusterEstimateService:
             workers[wid] = {
                 "alive": handle.alive(),
                 "in_flight": handle.in_flight,
+                "parked": len(handle.parked),
                 "dispatched": handle.dispatched,
                 "ewma_batch_seconds": handle.ewma_seconds,
                 "incarnation": self._incarnations.get(wid, 0),

@@ -13,9 +13,10 @@ Three layers, each usable on its own:
     ``LoadShedError``), and cancelling the awaitable **abandons** the
     query via ``EstimateRequest.cancel()`` — the worker drops it at
     flush time, so a dead client never occupies a batch slot or engine
-    time.  Enqueues run on the default executor because a cluster front
-    may block for an in-flight slot; the awaitable itself never blocks
-    the event loop.
+    time.  Every front's ``submit`` is non-blocking, so it is called
+    right on the event loop: a cache hit comes back settled and is
+    answered with no thread hop, a miss goes to the front's
+    micro-batcher (or a cluster worker) and is awaited.
 
 ``HTTPFrontDoor``
     A hand-rolled HTTP/1.1 JSON wire protocol over
@@ -122,10 +123,14 @@ def _jsonable(value):
 class AsyncEstimateService:
     """Awaitable facade over a (running) serving front.
 
-    The front's own threads keep doing the batching/compute; this class
-    only bridges their future-like request handles onto the event loop
+    ``submit`` runs on the event loop: the front's ``submit`` never
+    blocks (a cache hit is settled before it returns; a miss is queued
+    for the front's own threads, which do the batching and compute).
+    This class bridges an unsettled request handle onto the loop
     (``add_done_callback`` -> ``call_soon_threadsafe``) and translates
-    asyncio cancellation into :meth:`EstimateRequest.cancel`.
+    asyncio cancellation into :meth:`EstimateRequest.cancel`.  The one
+    front that computes in ``submit`` is a *stopped*
+    :class:`~repro.serve.service.EstimateService`, which serves inline.
     """
 
     #: grace added to a deadline before the awaitable gives up locally
@@ -141,6 +146,9 @@ class AsyncEstimateService:
         self._submit_trace = "trace" in submit_params
         self._batch_ns = "namespace" in batch_params
         self._batch_cache = "use_cache" in batch_params
+        observe = getattr(front, "observe", None)
+        self._observe_ns = observe is not None \
+            and "namespace" in inspect.signature(observe).parameters
         self.cancelled = 0
 
     # -- internals -----------------------------------------------------
@@ -156,36 +164,19 @@ class AsyncEstimateService:
             kwargs["trace"] = trace
         return kwargs
 
-    async def _enqueue(self, fn):
-        """Run a (possibly blocking) enqueue on the default executor.
-
-        Executor futures cannot be interrupted once running, so a caller
-        cancellation mid-enqueue attaches a callback that abandons the
-        request handle the moment it materializes — it never lingers in
-        a batch queue with nobody waiting.
-        """
-        loop = asyncio.get_running_loop()
-        pending = loop.run_in_executor(None, fn)
-        try:
-            return await asyncio.shield(pending)
-        except asyncio.CancelledError:
-            def _abandon(done):
-                if done.cancelled() or done.exception() is not None:
-                    return
-                done.result().cancel()
-                self.cancelled += 1
-            pending.add_done_callback(_abandon)
-            raise
-
     async def submit_request(self, query, *, namespace: str | None = None,
                              deadline_ms: float | None = None,
                              trace: Trace | None = None):
         """Awaitable submit returning the **settled** request handle
         (value, version, latency all inspectable).  Raises the handle's
         typed error.  Cancelling the await abandons the query."""
-        request = await self._enqueue(partial(
-            self.front.submit, query,
-            **self._submit_kwargs(namespace, deadline_ms, trace)))
+        request = self.front.submit(
+            query, **self._submit_kwargs(namespace, deadline_ms, trace))
+        if request.done():          # a cache hit or an immediate shed
+            error = request.exception()
+            if error is not None:
+                raise error
+            return request
         loop = asyncio.get_running_loop()
         settled: asyncio.Future = loop.create_future()
 
@@ -259,7 +250,7 @@ class AsyncEstimateService:
             raise TypeError(f"front {type(self.front).__name__} does not "
                             "accept feedback")
         kwargs = {"estimate": estimate}
-        if "namespace" in inspect.signature(observe).parameters:
+        if self._observe_ns:
             kwargs["namespace"] = namespace
         elif namespace is not None:
             raise UnknownNamespaceError(

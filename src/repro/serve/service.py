@@ -1,12 +1,16 @@
 """Micro-batching estimate front-end.
 
 Requests arrive one at a time (``submit`` / ``estimate``) or in bulk
-(``estimate_batch``).  Single requests are queued and flushed by a
-background worker in micro-batches — up to ``max_batch`` queries or
-``max_wait_ms`` of queueing, whichever comes first — through the
-inference engine's signature-grouping
+(``estimate_batch``).  ``submit`` never blocks: a cache hit is settled
+before it returns, and a miss is queued for a background worker that
+flushes micro-batches through the inference engine's signature-grouping
 :class:`~repro.infer.BatchScheduler`, so a stream of independent queries
-gets the same amortised matmuls as an offline batch.  Each flush captures
+gets the same amortised matmuls as an offline batch.  A flush takes
+every queued request (up to ``max_batch``) and waits for more only while
+requests arrive closer together than ``max_wait_ms`` (an EWMA of the gap
+between enqueued requests): a burst still batches, while a lone miss on
+an idle service is flushed at once instead of sitting out the window.
+``max_wait_ms`` caps the wait.  Each flush captures
 one :class:`~repro.serve.registry.ModelVersion` from the registry and
 uses it end to end: a hot-swap between flushes changes which snapshot the
 *next* flush sees, never the one in progress.
@@ -196,6 +200,11 @@ class EstimateService:
         # EWMA of per-query compute seconds; None until the first flush
         # is measured (no shedding before there is an observation).
         self._cost_per_query: float | None = None
+        # EWMA of the gap between enqueued requests (under ``_cond``);
+        # None until a second request is queued.  The worker holds a
+        # batch open only while this says more requests are due.
+        self._arrival_gap: float | None = None
+        self._last_arrival: float | None = None
         # All counters live in the metrics registry (one shared registry
         # across namespaces when routed); ``stats()`` reads the
         # namespace-labeled children.
@@ -297,10 +306,13 @@ class EstimateService:
                trace=None) -> EstimateRequest:
         """Enqueue one query; returns a future-like request handle.
 
-        With no worker running the request is served inline (still via
-        the scheduler, still cached) so the sync API never needs a
-        thread.  ``trace`` (an :class:`repro.obs.Trace`) rides on the
-        request and collects queue-wait/compute/settle spans.
+        Never blocks on a running service: a cache hit comes back
+        already settled, a miss is queued for the worker.  With no
+        worker running the request is served inline (still via the
+        scheduler, still cached) so the sync API never needs a thread —
+        the one case where ``submit`` computes in the caller's thread.
+        ``trace`` (an :class:`repro.obs.Trace`) rides on the request and
+        collects queue-wait/compute/settle spans.
         """
         snap = self.registry.active()
         constraints = self._expand(snap, query)
@@ -329,6 +341,12 @@ class EstimateService:
             # drains _pending while holding it, so a request can never
             # slip in after the drain and hang its caller.
             if not self._stop.is_set() and self.running:
+                now = request.submitted_at
+                if self._last_arrival is not None:
+                    gap = now - self._last_arrival
+                    self._arrival_gap = gap if self._arrival_gap is None \
+                        else 0.75 * self._arrival_gap + 0.25 * gap
+                self._last_arrival = now
                 self._pending.append(request)
                 self._cond.notify()
                 enqueued = True
@@ -479,29 +497,34 @@ class EstimateService:
                 self._flush(batch)
 
     def _gather(self) -> list[EstimateRequest]:
-        """Collect a micro-batch: first request opens a window that closes
-        at ``max_wait``, ``max_batch`` requests, or the tightest deadline
-        (minus compute headroom), whichever is first."""
+        """Collect a micro-batch: every queued request (up to
+        ``max_batch``), then more only while company is due — the EWMA
+        arrival gap is under ``max_wait`` and less than that gap has
+        passed since the last arrival.  The window closes ``max_wait``
+        after the flush started, or at the tightest deadline minus
+        compute headroom, whichever is first."""
         with self._cond:
             while not self._pending and not self._stop.is_set():
                 self._cond.wait(timeout=0.1)
             if self._stop.is_set():
                 return []
-            batch = [self._pending.popleft()]
+            batch: list[EstimateRequest] = []
             window_end = time.perf_counter() + self.max_wait
-            while len(batch) < self.max_batch:
-                now = time.perf_counter()
-                close_at = window_end
+            while True:
+                while self._pending and len(batch) < self.max_batch:
+                    batch.append(self._pending.popleft())
+                gap = self._arrival_gap
+                if len(batch) >= self.max_batch or gap is None \
+                        or gap >= self.max_wait:
+                    break
+                close_at = min(window_end, self._last_arrival + gap)
                 for req in batch:
                     if req.deadline is not None:
                         close_at = min(close_at, req.deadline - self.max_wait)
-                remaining = close_at - now
+                remaining = close_at - time.perf_counter()
                 if remaining <= 0:
                     break
-                if not self._pending:
-                    self._cond.wait(timeout=remaining)
-                while self._pending and len(batch) < self.max_batch:
-                    batch.append(self._pending.popleft())
+                self._cond.wait(timeout=remaining)
             return batch
 
     def _flush(self, batch: list[EstimateRequest]) -> None:
@@ -623,7 +646,8 @@ class EstimateService:
                "cancellations": int(self._c_cancel.value),
                "flushes": int(self._c_flushes.value),
                "model_version": self.registry.version,
-               "cost_ewma_seconds": self._cost_per_query}
+               "cost_ewma_seconds": self._cost_per_query,
+               "arrival_gap_ewma_seconds": self._arrival_gap}
         if self.cache is not None:
             out["cache"] = self.cache.stats()
         return out

@@ -1,5 +1,6 @@
 """Tests for the online serving subsystem (repro.serve)."""
 
+import asyncio
 import threading
 import time
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core import UAE
-from repro.serve import (EstimateRequest, EstimateService, FeedbackCollector,
-                         ModelRegistry, RequestCancelledError, ResultCache,
-                         UAEServer)
+from repro.serve import (AsyncEstimateService, EstimateRequest,
+                         EstimateService, FeedbackCollector, ModelRegistry,
+                         RequestCancelledError, ResultCache, UAEServer)
 from repro.workload import RollingQErrorMonitor, qerrors
 
 
@@ -308,6 +309,83 @@ class TestEstimateService:
         assert not service.running
         # Sync path still works without the worker.
         assert service.estimate(workload.queries[0]) >= 0.0
+
+
+# ----------------------------------------------------------------------
+class TestZeroWaitPath:
+    """The request path waits only for real work: an awaited cache hit
+    never leaves the event loop, and the micro-batcher holds a batch
+    open only while more requests are due."""
+
+    @staticmethod
+    def _await_without_executor(service, query):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+
+            def no_executor(*args, **kwargs):
+                raise AssertionError("submit ran an executor job")
+
+            loop.run_in_executor = no_executor
+            return await AsyncEstimateService(service).submit_request(query)
+
+        return asyncio.run(scenario())
+
+    def test_awaited_cache_hit_runs_no_executor_job(self, uae, workload):
+        service = EstimateService(ModelRegistry(uae), ResultCache(),
+                                  max_batch=8, max_wait_ms=1.0)
+        query = workload.queries[0]
+        with service:
+            warm = service.estimate(query)
+            request = self._await_without_executor(service, query)
+        assert request.from_cache
+        assert request.result(timeout=0) == warm
+
+    def test_awaited_miss_runs_no_executor_job(self, uae, workload):
+        service = EstimateService(ModelRegistry(uae), cache=None,
+                                  max_batch=8, max_wait_ms=1.0)
+        with service:
+            request = self._await_without_executor(service,
+                                                   workload.queries[1])
+        assert not request.from_cache
+        assert request.result(timeout=0) >= 0.0
+
+    def test_lone_miss_skips_the_batching_window(self, uae, workload):
+        service = EstimateService(ModelRegistry(uae), cache=None,
+                                  max_batch=32, max_wait_ms=1000.0)
+        service.estimate_batch(workload.queries[:4])    # warm the engine
+        with service:
+            start = time.perf_counter()
+            request = service.submit(workload.queries[0])
+            request.result(timeout=10.0)
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.25
+        assert service.stats()["flushes"] == 1
+
+    def test_requests_queued_behind_a_flush_batch_together(self, uae,
+                                                           workload):
+        service = EstimateService(ModelRegistry(uae), cache=None,
+                                  max_batch=32, max_wait_ms=1.0)
+        gate = threading.Event()
+        entered = threading.Event()
+        sizes = []
+        original = service._compute
+
+        def gated(snap, constraint_lists, seed=None):
+            sizes.append(len(constraint_lists))
+            entered.set()
+            assert gate.wait(timeout=10.0)
+            return original(snap, constraint_lists, seed)
+
+        service._compute = gated
+        n = 6
+        with service:
+            first = service.submit(workload.queries[0])
+            assert entered.wait(timeout=10.0)
+            rest = [service.submit(q) for q in workload.queries[1:1 + n]]
+            gate.set()
+            for request in [first] + rest:
+                request.result(timeout=30.0)
+        assert sizes == [1, n]
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ CI scale-out step) and skips cleanly on platforms without
 ``multiprocessing.shared_memory``.
 """
 
+import asyncio
 import threading
 import time
 
@@ -303,6 +304,114 @@ class TestCluster:
             assert shed > 0
             assert shed + answered == len(burst)
             assert cluster.stats()["failures"] == 0
+
+    @staticmethod
+    def gated_cluster(tiny_uae, seconds=0.6) -> ClusterEstimateService:
+        """One worker, a one-batch window, and a first batch that sleeps
+        ``seconds`` on the worker: the window stays full meanwhile."""
+        from repro.chaos import ChaosPlan
+        plan = ChaosPlan(seed=0)
+        plan.inject("worker.batch", action="sleep", at=1,
+                    params={"seconds": seconds})
+        cluster = ClusterEstimateService(workers=1, queue_depth=1, seed=7,
+                                         chaos=plan)
+        cluster.add_table(tiny_uae.clone())
+        return cluster
+
+    @staticmethod
+    def stats_after(cluster, served: int) -> dict:
+        """``stats()`` once the collector has counted ``served`` answers
+        (a waiter can wake before the counter moves)."""
+        deadline = time.perf_counter() + 10.0
+        while cluster.stats()["served"] < served:
+            assert time.perf_counter() < deadline
+            time.sleep(0.005)
+        return cluster.stats()
+
+    def test_saturated_submit_parks_without_blocking(self, tiny_uae,
+                                                     tiny_workload):
+        from repro.serve import AsyncEstimateService
+        queries = list(tiny_workload.queries)
+        with self.gated_cluster(tiny_uae) as cluster:
+            blocker = cluster.submit(queries[0])    # holds the window
+
+            async def scenario():
+                ticks = 0
+
+                async def ticker():
+                    nonlocal ticks
+                    while True:
+                        ticks += 1
+                        await asyncio.sleep(0.01)
+
+                task = asyncio.ensure_future(ticker())
+                start = time.perf_counter()
+                parked = cluster.submit(queries[1])
+                submit_s = time.perf_counter() - start
+                assert not parked.done()
+                assert cluster.stats()["workers"]["w0"]["parked"] == 1
+                before = ticks
+                value = await AsyncEstimateService(cluster).submit(
+                    queries[2])
+                task.cancel()
+                return submit_s, parked, value, ticks - before
+
+            submit_s, parked, value, ticked = asyncio.run(scenario())
+            assert submit_s < 0.1
+            assert ticked >= 10         # the loop ran while the window was full
+            assert blocker.result(timeout=30.0) >= 0.0
+            assert parked.result(timeout=30.0) >= 0.0
+            assert value >= 0.0
+            stats = self.stats_after(cluster, 3)
+        assert stats["served"] == 3
+        assert stats["saturations"] == 2
+
+    def test_parked_request_shed_when_budget_runs_out(self, tiny_uae,
+                                                      tiny_workload):
+        queries = list(tiny_workload.queries)
+        with self.gated_cluster(tiny_uae, seconds=1.0) as cluster:
+            blocker = cluster.submit(queries[0])
+            start = time.perf_counter()
+            doomed = cluster.submit(queries[1], deadline_ms=100.0)
+            assert not doomed.done()
+            with pytest.raises(LoadShedError):
+                doomed.result(timeout=30.0)
+            shed_s = time.perf_counter() - start
+            assert blocker.result(timeout=30.0) >= 0.0
+            stats = self.stats_after(cluster, 1)
+        # Shed from the FIFO once its budget lapsed, not after the
+        # one-second batch ahead of it.
+        assert 0.09 <= shed_s < 0.6
+        assert stats["sheds"] == 1 and stats["failures"] == 0
+
+    def test_cancelled_parked_request_never_dispatched(self, tiny_uae,
+                                                        tiny_workload):
+        queries = list(tiny_workload.queries)
+        with self.gated_cluster(tiny_uae, seconds=0.3) as cluster:
+            blocker = cluster.submit(queries[0])
+            victim = cluster.submit(queries[1])
+            assert victim.cancel()
+            survivor = cluster.submit(queries[2])
+            assert survivor.result(timeout=30.0) >= 0.0
+            assert blocker.result(timeout=30.0) >= 0.0
+            stats = self.stats_after(cluster, 2)
+        assert stats["served"] == 2
+        assert stats["cancellations"] == 1
+        assert stats["workers"]["w0"]["dispatched"] == 2
+
+    def test_dead_worker_fails_parked_requests_typed(self, tiny_uae,
+                                                     tiny_workload):
+        queries = list(tiny_workload.queries)
+        with self.gated_cluster(tiny_uae, seconds=5.0) as cluster:
+            blocker = cluster.submit(queries[0])
+            parked = cluster.submit(queries[1])
+            process = cluster._handles["w0"].process
+            process.terminate()
+            process.join(timeout=10.0)
+            assert cluster.dead_workers() == ["w0"]
+            for request in (blocker, parked):
+                with pytest.raises(WorkerUnavailableError):
+                    request.result(timeout=10.0)
 
     def test_join_query_rejected_typed(self, tiny_uae, second_uae):
         from repro.joins import JoinQuery
